@@ -2,13 +2,18 @@
 
 Vertices are the integers 0..n-1.  Input files may name vertices arbitrarily;
 the original names are kept so reports and certificates can refer back to the
-input.  Adjacency is stored both as one bit-mask per vertex (the hot path for
-trace extraction) and as sorted neighbor tuples.
+input.  Adjacency is stored once, as one bit-mask per vertex (bit v of
+``adj_masks[u]`` is set exactly when uv is an edge); neighbor and edge
+iteration read the masks.  :meth:`Graph.from_edges` packs each row as bytes
+and turns it into an integer once; when a header gives the vertex count, the
+parsers stream validated edges into it without building an edge list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import IO, Iterable, Iterator
 
 from .errors import ParseError
@@ -21,7 +26,6 @@ class Graph:
     n: int
     names: tuple[str, ...]
     adj_masks: tuple[int, ...]
-    adj_lists: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @classmethod
     def from_edges(
@@ -33,19 +37,20 @@ class Graph:
         name_tuple = tuple(names) if names is not None else tuple(str(v) for v in range(n))
         if len(name_tuple) != n:
             raise ValueError(f"expected {n} names, got {len(name_tuple)}")
-        masks = [0] * n
+        width = (n + 7) >> 3
+        rows = [bytearray(width) for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        lists = tuple(tuple(_bits(m)) for m in masks)
-        return cls(n=n, names=name_tuple, adj_masks=tuple(masks), adj_lists=lists)
+            rows[u][v >> 3] |= 1 << (v & 7)
+            rows[v][u >> 3] |= 1 << (u & 7)
+        masks = tuple(int.from_bytes(row, "little") for row in rows)
+        return cls(n=n, names=name_tuple, adj_masks=masks)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj_lists[v]
+        return tuple(_bits(self.adj_masks[v]))
 
     def neighbor_mask(self, v: int) -> int:
         return self.adj_masks[v]
@@ -62,9 +67,9 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
-            for v in self.adj_lists[u]:
-                if u < v:
-                    yield (u, v)
+            above = u + 1
+            for v in _bits(self.adj_masks[u] >> above):
+                yield (u, above + v)
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
@@ -75,8 +80,12 @@ class Graph:
     def names_of(self, members: Iterable[int]) -> list[str]:
         return [self.names[v] for v in sorted(members)]
 
+    @cached_property
+    def _name_index(self) -> dict[str, int]:
+        return {name: v for v, name in enumerate(self.names)}
+
     def ids_of(self, names: Iterable[str]) -> list[int]:
-        index = {name: v for v, name in enumerate(self.names)}
+        index = self._name_index
         out = []
         for name in names:
             if name not in index:
@@ -114,7 +123,8 @@ def load_graph(stream: IO[str], fmt: str = "edge-list") -> Graph:
     Edge list: optional first line ``n <count>``; then ``u v`` per line;
     ``#`` starts a comment.  With a header, endpoints must be integers in
     range; without one, tokens are arbitrary names assigned dense ids in
-    order of first appearance.
+    order of first appearance.  A first line ``n x`` whose ``x`` is not an
+    integer is the edge between the names ``n`` and ``x``.
 
     DIMACS: ``c`` comments, one ``p edge <n> <m>`` header, ``e u v`` lines
     with 1-based endpoints.
@@ -126,92 +136,135 @@ def load_graph(stream: IO[str], fmt: str = "edge-list") -> Graph:
     raise ValueError(f"unknown graph format {fmt!r}")
 
 
+def _content_tokens(raw: str) -> list[str]:
+    if "#" in raw:
+        raw = raw.split("#", 1)[0]
+    return raw.split()
+
+
 def _load_edge_list(stream: IO[str]) -> Graph:
-    declared_n: int | None = None
-    names: list[str] = []
+    lines = enumerate(stream, start=1)
+    for lineno, raw in lines:
+        tokens = _content_tokens(raw)
+        if not tokens:
+            continue
+        declared_n = _header_count(tokens, lineno)
+        if declared_n is None:
+            return _load_named_edges(chain([(lineno, raw)], lines))
+        return Graph.from_edges(declared_n, _numbered_edges(lines, declared_n))
+    return Graph.from_edges(0, ())
+
+
+def _header_count(tokens: list[str], lineno: int) -> int | None:
+    """The count of an ``n <count>`` header, or None when the line is an edge."""
+    if tokens[0] != "n" or len(tokens) != 2:
+        return None
+    try:
+        count = int(tokens[1])
+    except ValueError:
+        return None
+    if count < 0:
+        raise ParseError(f"negative vertex count {count}", lineno)
+    return count
+
+
+def _numbered_edges(lines: Iterator[tuple[int, str]], n: int) -> Iterator[tuple[int, int]]:
+    """Validated ``(u, v)`` id pairs from the lines after an ``n`` header."""
+    for lineno, raw in lines:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        try:
+            first, second = raw.split()
+            u = int(first)
+            v = int(second)
+        except ValueError:
+            if not raw.split():
+                continue
+            raise _numbered_line_error(raw, n, lineno) from None
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise _numbered_line_error(raw, n, lineno)
+        yield u, v
+
+
+def _numbered_line_error(line: str, n: int, lineno: int) -> ParseError:
+    """Why a comment-free line after an ``n`` header is not a valid edge."""
+    tokens = line.split()
+    if len(tokens) != 2:
+        return ParseError(f"expected 'u v', got {line.strip()!r}", lineno)
+    for token in tokens:
+        try:
+            v = int(token)
+        except ValueError:
+            return ParseError(f"expected integer vertex id, got {token!r}", lineno)
+        if not (0 <= v < n):
+            return ParseError(f"vertex id {v} out of declared range 0..{n - 1}", lineno)
+    return ParseError(f"self-loop at vertex {tokens[0]!r}", lineno)
+
+
+def _load_named_edges(lines: Iterator[tuple[int, str]]) -> Graph:
+    """A header-less edge list: names get dense ids in order of first appearance."""
     ids: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
-    saw_content = False
-
-    def vertex_id(token: str, lineno: int) -> int:
-        if declared_n is not None:
-            try:
-                v = int(token)
-            except ValueError:
-                raise ParseError(f"expected integer vertex id, got {token!r}", lineno)
-            if not (0 <= v < declared_n):
-                raise ParseError(f"vertex id {v} out of declared range 0..{declared_n - 1}", lineno)
-            return v
-        if token not in ids:
-            ids[token] = len(names)
-            names.append(token)
-        return ids[token]
-
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, raw in lines:
+        tokens = _content_tokens(raw)
+        if not tokens:
             continue
-        tokens = line.split()
-        if not saw_content and tokens[0] == "n" and len(tokens) == 2:
-            try:
-                declared_n = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"bad vertex count {tokens[1]!r}", lineno)
-            if declared_n < 0:
-                raise ParseError(f"negative vertex count {declared_n}", lineno)
-            saw_content = True
-            continue
-        saw_content = True
         if len(tokens) != 2:
-            raise ParseError(f"expected 'u v', got {line!r}", lineno)
-        u = vertex_id(tokens[0], lineno)
-        v = vertex_id(tokens[1], lineno)
+            raise ParseError(f"expected 'u v', got {raw.split('#', 1)[0].strip()!r}", lineno)
+        u = ids.setdefault(tokens[0], len(ids))
+        v = ids.setdefault(tokens[1], len(ids))
         if u == v:
             raise ParseError(f"self-loop at vertex {tokens[0]!r}", lineno)
         edges.append((u, v))
-
-    if declared_n is not None:
-        return Graph.from_edges(declared_n, edges)
-    return Graph.from_edges(len(names), edges, names=names)
+    return Graph.from_edges(len(ids), edges, names=list(ids))
 
 
 def _load_dimacs(stream: IO[str]) -> Graph:
-    declared_n: int | None = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(stream, start=1):
+    lines = enumerate(stream, start=1)
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         tokens = line.split()
         if tokens[0] == "p":
-            if declared_n is not None:
-                raise ParseError("duplicate problem line", lineno)
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError(f"expected 'p edge <n> <m>', got {line!r}", lineno)
             try:
                 declared_n = int(tokens[2])
             except ValueError:
                 raise ParseError(f"bad vertex count {tokens[2]!r}", lineno)
-            continue
+            if declared_n < 0:
+                raise ParseError(f"negative vertex count {declared_n}", lineno)
+            names = [str(v + 1) for v in range(declared_n)]
+            return Graph.from_edges(declared_n, _dimacs_edges(lines, declared_n), names=names)
         if tokens[0] == "e":
-            if declared_n is None:
-                raise ParseError("edge before problem line", lineno)
-            if len(tokens) != 3:
-                raise ParseError(f"expected 'e u v', got {line!r}", lineno)
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError(f"bad edge endpoints in {line!r}", lineno)
-            if not (1 <= u <= declared_n and 1 <= v <= declared_n):
-                raise ParseError(f"vertex id out of declared range 1..{declared_n}", lineno)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}", lineno)
-            edges.append((u - 1, v - 1))
-            continue
+            raise ParseError("edge before problem line", lineno)
         raise ParseError(f"unrecognized line {line!r}", lineno)
-    if declared_n is None:
-        raise ParseError("missing problem line")
-    return Graph.from_edges(declared_n, edges, names=[str(v + 1) for v in range(declared_n)])
+    raise ParseError("missing problem line")
+
+
+def _dimacs_edges(lines: Iterator[tuple[int, str]], n: int) -> Iterator[tuple[int, int]]:
+    """Validated 0-based ``(u, v)`` pairs from the lines after the problem line."""
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        tokens = line.split()
+        if tokens[0] == "p":
+            raise ParseError("duplicate problem line", lineno)
+        if tokens[0] != "e":
+            raise ParseError(f"unrecognized line {line!r}", lineno)
+        if len(tokens) != 3:
+            raise ParseError(f"expected 'e u v', got {line!r}", lineno)
+        try:
+            u, v = int(tokens[1]), int(tokens[2])
+        except ValueError:
+            raise ParseError(f"bad edge endpoints in {line!r}", lineno)
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(f"vertex id out of declared range 1..{n}", lineno)
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}", lineno)
+        yield u - 1, v - 1
 
 
 def induced_degrees(graph: Graph, members: Iterable[int]) -> dict[int, int]:

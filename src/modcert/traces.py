@@ -14,6 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
+from .errors import InternalInvariantError
 from .gf2 import BitVector
 from .graph import Graph, check_subset, mask_of
 from .witness import quotient_coords
@@ -80,9 +81,10 @@ def compute_traces(graph: Graph, core, tail) -> TraceTable:
         raise ValueError("core and tail must be disjoint")
     core_sorted = tuple(sorted(core_set))
     index = {v: i for i, v in enumerate(core_sorted)}
+    core_mask = mask_of(core_set)
     grouped: dict[int, list[int]] = defaultdict(list)
     for x in sorted(tail_set):
-        neighbors = graph.adj_masks[x] & mask_of(core_set)
+        neighbors = graph.adj_masks[x] & core_mask
         mask = 0
         while neighbors:
             low = neighbors & -neighbors
@@ -280,30 +282,52 @@ def neighborhood_diversity(graph: Graph) -> TypePartition:
     """Partition vertices into twin classes and count them.
 
     Two vertices have the same type when their neighborhoods agree away from
-    the pair itself (covering both adjacent and non-adjacent twins).  Each
-    class induces a clique or an independent set, and distinct classes are
-    joined completely or not at all; both facts are asserted.
+    the pair itself, that is, when they share the open mask N(v) (non-adjacent
+    twins) or the closed mask N(v) | {v} (adjacent twins); no vertex has both
+    kinds, so grouping by either mask gives the classes in one pass (Lampis
+    2012).  Classes are listed by smallest member.  The result is re-checked
+    with one mask comparison per vertex: the classes partition the vertices,
+    each class induces a clique or an independent set, and every member of a
+    class has the same neighbors outside it, so distinct classes are joined
+    completely or not at all.  A failed check raises
+    :class:`InternalInvariantError`.
     """
-    classes: list[list[int]] = []
-    for v in range(graph.n):
-        placed = False
-        for cls in classes:
-            u = cls[0]
-            strip = ~((1 << u) | (1 << v))
-            if graph.adj_masks[u] & strip == graph.adj_masks[v] & strip:
-                cls.append(v)
-                placed = True
-                break
-        if not placed:
-            classes.append([v])
-    result = tuple(tuple(cls) for cls in classes)
-    for cls in result:
-        internal = [graph.has_edge(a, b) for i, a in enumerate(cls) for b in cls[i + 1:]]
-        if internal and len(set(internal)) != 1:
-            raise AssertionError("a twin class must induce a clique or an independent set")
-    for i, first in enumerate(result):
-        for second in result[i + 1:]:
-            across = {graph.has_edge(a, b) for a in first for b in second}
-            if len(across) > 1:
-                raise AssertionError("distinct twin classes must be joined completely or not at all")
-    return TypePartition(t=len(result), classes=result)
+    classes = _twin_groups(graph.adj_masks)
+    _check_twin_classes(graph.adj_masks, classes)
+    return TypePartition(t=len(classes), classes=tuple(tuple(cls) for cls in classes))
+
+
+def _twin_groups(adj: Sequence[int]) -> list[list[int]]:
+    """Vertices grouped by shared open or closed mask, ordered by smallest member."""
+    by_open: dict[int, list[int]] = defaultdict(list)
+    by_closed: dict[int, list[int]] = defaultdict(list)
+    for v, mask in enumerate(adj):
+        by_open[mask].append(v)
+        by_closed[mask | 1 << v].append(v)
+    groups = [g for g in by_open.values() if len(g) > 1]
+    groups += [g for g in by_closed.values() if len(g) > 1]
+    grouped = {v for g in groups for v in g}
+    groups += [[v] for v in range(len(adj)) if v not in grouped]
+    groups.sort(key=lambda g: g[0])
+    return groups
+
+
+def _check_twin_classes(adj: Sequence[int], classes: list[list[int]]) -> None:
+    full = (1 << len(adj)) - 1
+    covered = 0
+    for cls in classes:
+        cls_mask = mask_of(cls)
+        if not cls or cls_mask.bit_count() != len(cls) or cls_mask & covered or cls_mask > full:
+            raise InternalInvariantError("twin classes must partition the vertices")
+        covered |= cls_mask
+        rep = cls[0]
+        outside = adj[rep] & ~cls_mask
+        clique = bool(adj[rep] & cls_mask)
+        for v in cls:
+            inside = cls_mask ^ (1 << v) if clique else 0
+            if adj[v] & cls_mask != inside:
+                raise InternalInvariantError("a twin class must induce a clique or an independent set")
+            if adj[v] & ~cls_mask != outside:
+                raise InternalInvariantError("distinct twin classes must be joined completely or not at all")
+    if covered != full:
+        raise InternalInvariantError("twin classes must partition the vertices")

@@ -308,6 +308,30 @@ class TestFormats:
         assert code == 0
         assert set(payload["part0"]) | set(payload["part1"]) == {"alpha", "beta", "gamma"}
 
+    def test_non_integer_count_line_is_an_edge(self, tmp_path, capsys):
+        target = tmp_path / "n_edge.txt"
+        target.write_text("n x\nx y\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["nd", str(target), "--json"])
+        assert code == 0, err
+        assert json.loads(out)["classes"] == [["n", "y"], ["x"]]
+
+    def test_negative_count_exit_two(self, tmp_path, capsys):
+        target = tmp_path / "negative.txt"
+        target.write_text("n -2\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, ["parity", str(target)])
+        assert code == 2
+        assert "line 1: negative vertex count -2" in err
+
+    def test_nd_invariant_failure_exit_three(self, tmp_path, capsys, monkeypatch):
+        import modcert.traces
+
+        monkeypatch.setattr(modcert.traces, "_twin_groups", lambda adj: [[v] for v in range(len(adj) - 1)])
+        target = write_graph(tmp_path, cycle(4))
+        code, out, err = run_cli(capsys, ["nd", target, "--json"])
+        assert code == 3
+        assert out == ""
+        assert "internal error: twin classes must partition the vertices" in err
+
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run_cli(capsys, ["parity", "/nonexistent/graph.txt"])
         assert code == 2

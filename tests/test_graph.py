@@ -72,8 +72,39 @@ class TestLoadGraph:
     def test_name_lookup_round_trip(self):
         g = parse("alpha beta\nbeta gamma\n")
         assert g.ids_of(["gamma", "alpha"]) == [2, 0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown vertex name 'delta'"):
             g.ids_of(["delta"])
+        assert g.ids_of(["beta"]) == [1]
+
+    def test_non_integer_count_line_is_an_edge(self):
+        g = parse("n x\nx y\n")
+        assert g.names == ("n", "x", "y")
+        assert g.has_edge(0, 1) and g.has_edge(1, 2) and not g.has_edge(0, 2)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ParseError, match="line 2: negative vertex count -3") as err:
+            parse("# header\nn -3\n")
+        assert err.value.line == 2
+
+    def test_dimacs_negative_count_rejected(self):
+        with pytest.raises(ParseError, match="negative vertex count -1") as err:
+            parse("c x\np edge -1 0\n", fmt="dimacs")
+        assert err.value.line == 2
+
+
+class TestMaskIteration:
+    def test_neighbors_and_edges_read_the_masks(self):
+        g = Graph.from_edges(5, [(3, 1), (0, 4), (1, 0), (4, 3), (1, 3)])
+        assert g.neighbors(1) == (0, 3)
+        assert g.neighbors(2) == ()
+        assert list(g.edges()) == [(0, 1), (0, 4), (1, 3), (3, 4)]
+        assert g.adj_masks[3] == 0b10010
+        assert not hasattr(g, "adj_lists")
+
+    def test_builder_accepts_a_generator(self):
+        g = Graph.from_edges(9, ((v, v + 1) for v in range(8)))
+        assert g.edge_count() == 8
+        assert g.adj_masks[8] == 1 << 7
 
 
 class TestInducedDegrees:

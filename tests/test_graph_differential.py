@@ -1,0 +1,219 @@
+"""Differential tests: the mask-only graph against the frozen reference copies.
+
+``_reference_graph`` keeps the builder that stored neighbor tuples beside the
+masks, the parsers that built a full edge list first, and the pairwise twin
+classification.  Graphs, neighbor and edge iteration, twin classes and parse
+errors (type, message, line) must agree.  The one intended difference: a
+header-less edge list whose first line is ``n x`` with a non-integer ``x`` is
+the edge between ``n`` and ``x``, where the reference rejected it as a bad
+vertex count.  A DIMACS problem line with a negative count is now rejected at
+that line; the reference failed later, or with a names-count error.
+"""
+
+import io
+import random
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _reference_graph as ref
+from modcert.errors import ParseError
+from modcert.graph import Graph, load_graph
+from modcert.traces import neighborhood_diversity
+
+
+def edge_pairs(n: int, p: float, rnd: random.Random) -> list[tuple[int, int]]:
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p]
+    pairs += pairs[: len(pairs) // 3]  # duplicates collapse in both builders
+    pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in pairs]
+    rnd.shuffle(pairs)
+    return pairs
+
+
+def twin_blowup_pairs(base: int, p: float, rnd: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """A random base graph with each vertex blown up into a clique or an independent set.
+
+    Vertex ids are shuffled so classes are not contiguous runs.
+    """
+    sizes = [rnd.choice((1, 1, 2, 3, 4)) for _ in range(base)]
+    cliques = [rnd.random() < 0.5 for _ in range(base)]
+    blocks, next_id = [], 0
+    for size in sizes:
+        blocks.append(list(range(next_id, next_id + size)))
+        next_id += size
+    perm = list(range(next_id))
+    rnd.shuffle(perm)
+    pairs = []
+    for b, block in enumerate(blocks):
+        if cliques[b]:
+            pairs += [(perm[u], perm[v]) for i, u in enumerate(block) for v in block[i + 1:]]
+        for c in range(b + 1, base):
+            if rnd.random() < p:
+                pairs += [(perm[u], perm[v]) for u in block for v in blocks[c]]
+    return next_id, pairs
+
+
+def assert_same_graph(new: Graph, old: ref.RefGraph) -> None:
+    assert new.n == old.n
+    assert new.names == old.names
+    assert new.adj_masks == old.adj_masks
+    assert list(new.edges()) == list(old.edges())
+    for v in range(new.n):
+        assert new.neighbors(v) == old.neighbors(v)
+
+
+def assert_same_nd(new: Graph, old: ref.RefGraph) -> None:
+    partition = neighborhood_diversity(new)
+    assert (partition.t, partition.classes) == ref.neighborhood_diversity(old)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 30), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+def test_random_graphs_match_reference(n, p, rnd):
+    pairs = edge_pairs(n, p, rnd)
+    new = Graph.from_edges(n, iter(pairs))
+    old = ref.RefGraph.from_edges(n, pairs)
+    assert_same_graph(new, old)
+    assert_same_nd(new, old)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+def test_twin_rich_graphs_match_reference(base, p, rnd):
+    n, pairs = twin_blowup_pairs(base, p, rnd)
+    new = Graph.from_edges(n, pairs)
+    old = ref.RefGraph.from_edges(n, pairs)
+    assert_same_graph(new, old)
+    assert_same_nd(new, old)
+
+
+def test_from_edges_errors_match_reference():
+    cases = [
+        (3, [(0, 3)], None),
+        (3, [(-1, 0)], None),
+        (3, [(1, 1)], None),
+        (3, [(0, 1)], ["a", "b"]),
+        (-1, [], None),
+    ]
+    for n, pairs, names in cases:
+        outcomes = []
+        for build in (Graph.from_edges, ref.RefGraph.from_edges):
+            try:
+                build(n, pairs, names=names)
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert len(outcomes) == 2 and outcomes[0] == outcomes[1]
+
+
+def outcome(loader, text: str):
+    """The parsed graph's fields, or the error's type, message and line."""
+    try:
+        g = loader(io.StringIO(text))
+    except ValueError as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+    return ("graph", g.n, g.names, g.adj_masks, list(g.edges()))
+
+
+TOKENS = ["0", "1", "2", "3", "4", "9", "-1", "01", "+2", "1.5", "a", "b", "x", "n", "é"]
+HEADERS = ["n 0", "n 3", "n 5", " n 4 ", "n\t2", "n -1", "n -0", "n x", "n 1.5", "n", "n 3 4", "n a # c"]
+CLEAN_HEADERS = {"n 5": ["0", "1", "3", "03", "4"], "n\tx": ["a", "x", "n", "é"], "": ["a", "b", "n", "7"]}
+
+
+@st.composite
+def edge_list_text(draw) -> str:
+    """Edge-list text: half the draws well formed, half with every kind of defect."""
+    noisy = draw(st.booleans())
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["", "# lead", "   "])))
+    if noisy:
+        if draw(st.integers(0, 3)):
+            lines.append(draw(st.sampled_from(HEADERS)))
+        tokens = TOKENS
+    else:
+        header = draw(st.sampled_from(sorted(CLEAN_HEADERS)))
+        lines.append(header)
+        tokens = CLEAN_HEADERS[header]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "# only a comment", "\t#x"])))
+        elif kind == 1 and noisy:
+            lines.append(draw(st.sampled_from(HEADERS)))
+        else:
+            count = draw(st.sampled_from([2, 2, 2, 2, 1, 3])) if noisy else 2
+            pair = draw(st.lists(st.sampled_from(tokens), min_size=count, max_size=count, unique=not noisy))
+            line = draw(st.sampled_from([" ", "  ", "\t"])).join(pair)
+            if draw(st.integers(0, 4)) == 0:
+                line = " " + line + draw(st.sampled_from(["", " # note", "#1 2"]))
+            lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _first_content_tokens(text: str) -> list[str]:
+    for raw in text.splitlines():
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            return tokens
+    return []
+
+
+def _rename_n(text: str) -> str:
+    """Rename the vertex ``n`` to ``nn_`` so the first line cannot read as a header."""
+    out = []
+    for raw in text.split("\n"):
+        content, sep, comment = raw.partition("#")
+        out.append(re.sub(r"(?<!\S)n(?!\S)", "nn_", content) + sep + comment)
+    return "\n".join(out)
+
+
+def _restore_n(result):
+    if result[0] == "graph":
+        _, n, names, masks, edges = result
+        return ("graph", n, tuple("n" if name == "nn_" else name for name in names), masks, edges)
+    kind, exc_type, message, line = result
+    return (kind, exc_type, message.replace("nn_", "n"), line)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_text())
+def test_edge_list_parse_matches_reference(text):
+    new = outcome(load_graph, text)
+    old = outcome(ref.load_edge_list, text)
+    if old[0] == "error" and old[2].split(": ", 1)[-1].startswith("bad vertex count"):
+        # The fixed header case: the line is the edge between "n" and the
+        # second token, as the reference reads it once "n" is not the first
+        # token of the file.
+        first = _first_content_tokens(text)
+        assert first[0] == "n" and len(first) == 2
+        old = _restore_n(outcome(ref.load_edge_list, _rename_n(text)))
+    assert new == old
+
+
+DIMACS_LINES = [
+    "", "c comment", "c", "p edge 3 2", "p edge 4 0", "p edge 0 0", "p edge x 1", "p col 3 3",
+    "p edge 3", "p edge -2 1", "e 1 2", "e 2 3", "e 3 1", "e 1 1", "e 1 4", "e 0 1", "e a b",
+    "e 1", "e 1 2 3", "x 1 2", "  e 2 1  ",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(DIMACS_LINES), max_size=8))
+def test_dimacs_parse_matches_reference(lines):
+    text = "\n".join(lines) + "\n"
+    new = outcome(lambda s: load_graph(s, fmt="dimacs"), text)
+    problem = next((i for i, line in enumerate(lines, 1) if line.strip().startswith("p")), None)
+    if problem is not None and lines[problem - 1].split()[2:3] == ["-2"]:
+        prior = outcome(lambda s: load_graph(s, fmt="dimacs"), "\n".join(lines[: problem - 1]) + "\n")
+        if prior[2:] == ("missing problem line", None):
+            assert new == ("error", ParseError, f"line {problem}: negative vertex count -2", problem)
+            return
+    assert new == outcome(ref.load_dimacs, text)
+
+
+def test_header_fix_is_the_only_bad_count_case():
+    assert outcome(ref.load_edge_list, "n x\n")[2] == "line 1: bad vertex count 'x'"
+    g = load_graph(io.StringIO("n x\nx y\n"))
+    assert g.names == ("n", "x", "y")
+    assert list(g.edges()) == [(0, 1), (1, 2)]

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import modcert.traces as traces_module
+from modcert.errors import InternalInvariantError
 from modcert.gf2 import BitMatrix, BitVector, rank
 from modcert.graph import Graph
 from modcert.traces import (
@@ -19,7 +21,7 @@ from modcert.traces import (
 )
 from modcert.witness import quotient_coords
 
-from conftest import complete, complete_bipartite, cycle, petersen, random_graph
+from conftest import complete, complete_bipartite, cycle, path, petersen, random_graph
 
 
 def cancelling_pair_graph():
@@ -268,6 +270,28 @@ class TestNeighborhoodDiversity:
             partition = neighborhood_diversity(g)
             seen = sorted(v for cls in partition.classes for v in cls)
             assert seen == list(range(g.n))
+
+
+class TestNeighborhoodDiversityInvariants:
+    """Each re-check fires on a grouping that breaks it, with the internal-error type."""
+
+    @pytest.mark.parametrize("groups, message", [
+        ([[0], [1], [1], [2], [3]], "partition"),
+        ([[0, 0], [1], [2], [3]], "partition"),
+        ([[0], [1], [2]], "partition"),
+        ([[0, 1, 2], [3]], "clique or an independent set"),
+        ([[0, 3], [1], [2]], "joined completely or not at all"),
+    ])
+    def test_broken_grouping_raises(self, monkeypatch, groups, message):
+        monkeypatch.setattr(traces_module, "_twin_groups", lambda adj: [list(g) for g in groups])
+        with pytest.raises(InternalInvariantError, match=message):
+            neighborhood_diversity(path(4))
+
+    def test_classes_ordered_by_smallest_member(self):
+        # 0, 3 and 4 are false twins (each sees exactly 1 and 2); 1 and 2 are true twins.
+        g = Graph.from_edges(5, [(0, 1), (3, 1), (1, 2), (0, 2), (3, 2), (4, 2), (4, 1)])
+        partition = neighborhood_diversity(g)
+        assert partition.classes == ((0, 3, 4), (1, 2))
 
 
 def test_table_json_round_trip_fields():
