@@ -32,7 +32,7 @@ from .absorb import (
     verify_parity_cut,
 )
 from .errors import InternalInvariantError, ParseError
-from .gf2 import BitMatrix, BitVector, Dual, Solution, dot, mat_vec, rank, solve_or_dual, vec_add
+from .gf2 import BitMatrix, BitVector, Dual, Solution, dot, mat_vec, rank, solve_or_dual
 from .graph import Graph, induced_degrees, is_regular, load_graph
 from .oracle import brute_force_absorption, brute_force_alpha_omega, brute_force_max_regular
 from .parity import parity_partition, two_modular_part, verify_even_partition

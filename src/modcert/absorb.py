@@ -17,10 +17,17 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InternalInvariantError
-from .gf2 import BitMatrix, BitVector, Dual, Solution, pivot_columns, rank, solve_or_dual
+from .gf2 import BitMatrix, BitVector, Dual, Solution, pivot_columns, solve_or_dual
 from .graph import check_subset, mask_of
 from .traces import TraceTable, compute_traces, pair_trace_graph
-from .witness import ModularWitness, TopBitLabel, is_q_modular, quotient_coords, top_bit_label
+from .witness import (
+    ModularWitness,
+    TopBitLabel,
+    is_q_modular,
+    quotient_coords,
+    quotient_matrix,
+    top_bit_label,
+)
 
 SCHEMA_VERSION = "modcert-v1"
 
@@ -102,12 +109,7 @@ class CutPositions:
 def trace_class_matrix(table: TraceTable, q: int) -> tuple[list[int], BitMatrix]:
     """Quotient coordinates of the available trace classes, one column per mask."""
     masks = table.available_masks(q)
-    m = table.size
-    columns = [
-        quotient_coords(BitVector(m, mask), 0)
-        for mask in masks
-    ]
-    return masks, BitMatrix.from_columns(columns, rows=max(m - 1, 0))
+    return masks, quotient_matrix(masks, table.size)
 
 
 def solve_defect(table: TraceTable, q: int, label_bits: BitVector) -> Union[TraceSelection, CutPositions]:
@@ -318,10 +320,10 @@ def rank_rich(table: TraceTable, q: int) -> tuple[bool, tuple[int, ...]]:
     if table.size < 1:
         raise ValueError("core must be nonempty")
     masks, matrix = trace_class_matrix(table, q)
-    spanning = rank(matrix) == table.size - 1
-    if not spanning:
+    pivots = pivot_columns(matrix)
+    if len(pivots) != table.size - 1:
         return False, ()
-    return True, tuple(masks[j] for j in pivot_columns(matrix))
+    return True, tuple(masks[j] for j in pivots)
 
 
 def rank_rich_check(problem: AbsorptionProblem) -> tuple[bool, tuple[tuple[int, ...], ...]]:
@@ -358,10 +360,6 @@ def pair_trace_sufficiency(table: TraceTable, q: int) -> Union[Applies, DoesNotA
             "pair-trace condition held but the available classes do not span"
         )
     return Applies()
-
-
-def pair_trace_sufficiency_check(problem: AbsorptionProblem) -> Union[Applies, DoesNotApply]:
-    return pair_trace_sufficiency(problem.table, problem.q)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 """Dense GF(2) vectors and matrices with certificate-producing elimination.
 
 Vectors and matrix rows are bit-packed into Python integers, so row updates
-are single XORs.  The solver is the workhorse of the whole package: it either
-solves M x = t or returns an explicit inconsistency functional y with
-y^T M = 0 and y^T t = 1, extracted by running the elimination on an appended
-identity.  Pivoting always picks the lowest-index available row, which makes
-every downstream certificate reproducible byte for byte.
+are single XORs.  One forward elimination serves every caller: it packs the
+target bit above the columns of each row, keeps rows bucketed by their lowest
+set bit, and pivots on the lowest-index row of each column's bucket.  The
+solver is the workhorse of the whole package: it either solves M x = t, by
+back-substitution with free variables 0, or returns an explicit
+inconsistency functional y with y^T M = 0 and y^T t = 1.  The dual is read
+off a second elimination run on rows that also carry the identity, done only
+when the system turns out inconsistent.  The lowest-index pivot rule makes
+every downstream certificate reproducible byte for byte.  Dimensions have no
+upper limit beyond memory.
 """
 
 from __future__ import annotations
@@ -13,14 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-MAX_DIM = 4096
-
 
 def _check_dim(value: int, what: str) -> int:
     if value < 0:
         raise ValueError(f"{what} must be nonnegative, got {value}")
-    if value > MAX_DIM:
-        raise ValueError(f"{what} {value} exceeds the supported maximum {MAX_DIM}")
     return value
 
 
@@ -69,10 +70,6 @@ class BitVector:
         return "".join(str(self.bits >> i & 1) for i in range(self.length))
 
 
-def vec_add(x: BitVector, y: BitVector) -> BitVector:
-    return x ^ y
-
-
 def dot(x: BitVector, y: BitVector) -> int:
     if x.length != y.length:
         raise ValueError(f"length mismatch: {x.length} vs {y.length}")
@@ -105,50 +102,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":
-        if not rows:
-            return cls(0, 0, ())
-        cols = rows[0].length
-        for r in rows:
-            if r.length != cols:
-                raise ValueError("ragged rows")
-        return cls(len(rows), cols, tuple(r.bits for r in rows))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[BitVector], rows: int | None = None) -> "BitMatrix":
-        if rows is None:
-            if not columns:
-                raise ValueError("cannot infer row count from zero columns")
-            rows = columns[0].length
-        row_bits = [0] * rows
-        for j, col in enumerate(columns):
-            if col.length != rows:
-                raise ValueError("column length does not match row count")
-            for i in range(rows):
-                if col.bits >> i & 1:
-                    row_bits[i] |= 1 << j
-        return cls(rows, len(columns), tuple(row_bits))
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.row_bits[i])
-
-    def column(self, j: int) -> BitVector:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} out of range")
-        bits = 0
-        for i in range(self.rows):
-            if self.row_bits[i] >> j & 1:
-                bits |= 1 << i
-        return BitVector(self.rows, bits)
-
-    def get(self, i: int, j: int) -> int:
-        return self.row_bits[i] >> j & 1
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_columns([self.row(i) for i in range(self.rows)] or [], rows=self.cols) \
-            if self.rows else BitMatrix.zero(self.cols, 0)
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -177,72 +130,72 @@ def mat_vec(m: BitMatrix, x: BitVector) -> BitVector:
     return BitVector(m.rows, bits)
 
 
+def _eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], list[tuple[int, int]], list[int]]:
+    """Forward elimination of packed rows over their low ``cols`` bits.
+
+    Bits at ``cols`` and above ride along unpivoted.  Rows wait in buckets
+    keyed by their lowest set bit; once the columns below j are done, no
+    unpivoted row has a bit below j, so the pivot of column j is the
+    lowest-index row in bucket j, and only that bucket's rows are touched.
+    Unpivoted rows change exactly as under Gauss-Jordan elimination with the
+    same pivot rule.  Returns the reduced rows, the (column, row) pivots in
+    column order, and the rows left with no column bit and bit ``cols`` set.
+    """
+    work = list(rows)
+    # The last bucket collects rows with no bit at or below ``cols``; a zero
+    # row has low == -1 and lands there too.
+    buckets: list[list[int]] = [[] for _ in range(cols + 2)]
+    for i, r in enumerate(work):
+        low = (r & -r).bit_length() - 1
+        buckets[low if low <= cols else -1].append(i)
+    pivots = []
+    for j in range(cols):
+        bucket = buckets[j]
+        if not bucket:
+            continue
+        p = min(bucket)
+        pivots.append((j, p))
+        pivot_row = work[p]
+        for i in bucket:
+            if i != p:
+                r = work[i] ^ pivot_row
+                work[i] = r
+                low = (r & -r).bit_length() - 1
+                buckets[low if low <= cols else -1].append(i)
+        buckets[j] = []
+    return work, pivots, buckets[cols]
+
+
 def solve_or_dual(m: BitMatrix, t: BitVector) -> SolveResult:
     """Solve M x = t over GF(2) or produce the dual inconsistency witness.
 
-    Gauss-Jordan elimination; for each column the pivot is the lowest-index
-    row that still has a 1 there, so the outcome is deterministic.  Free
-    variables are set to 0.  The dual witness is read off the appended
-    identity on the first row that reduced to zero with target bit 1.
+    For each column the pivot is the lowest-index row that still has a 1
+    there, so the outcome is deterministic.  Free variables are set to 0.
+    The dual witness is the combination, tracked by an appended identity,
+    that reduces the lowest-index inconsistent row.
     """
     if t.length != m.rows:
         raise ValueError(f"dimension mismatch: {m.rows} rows vs target length {t.length}")
-    work = list(m.row_bits)
-    aug = [1 << i for i in range(m.rows)]
-    tgt = [t.bits >> i & 1 for i in range(m.rows)]
-    pivot_of_col: dict[int, int] = {}
-    pivoted_rows: set[int] = set()
-    for j in range(m.cols):
-        pivot = next(
-            (i for i in range(m.rows) if i not in pivoted_rows and work[i] >> j & 1),
-            None,
-        )
-        if pivot is None:
-            continue
-        pivot_of_col[j] = pivot
-        pivoted_rows.add(pivot)
-        for i in range(m.rows):
-            if i != pivot and work[i] >> j & 1:
-                work[i] ^= work[pivot]
-                aug[i] ^= aug[pivot]
-                tgt[i] ^= tgt[pivot]
-    for i in range(m.rows):
-        if work[i] == 0 and tgt[i]:
-            return Dual(BitVector(m.rows, aug[i]))
+    cols = m.cols
+    tgt = t.bits
+    rows = [r | (tgt >> i & 1) << cols for i, r in enumerate(m.row_bits)]
+    work, pivots, inconsistent = _eliminate(rows, cols)
+    if inconsistent:
+        aug = [r | 1 << (cols + 1 + i) for i, r in enumerate(rows)]
+        work, _, inconsistent = _eliminate(aug, cols)
+        return Dual(BitVector(m.rows, work[min(inconsistent)] >> (cols + 1)))
     x_bits = 0
-    for j, i in pivot_of_col.items():
-        if tgt[i]:
+    for j, p in reversed(pivots):
+        r = work[p]
+        if ((r >> cols) ^ (r & x_bits).bit_count()) & 1:
             x_bits |= 1 << j
-    return Solution(BitVector(m.cols, x_bits))
+    return Solution(BitVector(cols, x_bits))
 
 
 def rank(m: BitMatrix) -> int:
-    work = list(m.row_bits)
-    count = 0
-    for j in range(m.cols):
-        pivot = next((i for i in range(count, m.rows) if work[i] >> j & 1), None)
-        if pivot is None:
-            continue
-        work[count], work[pivot] = work[pivot], work[count]
-        for i in range(m.rows):
-            if i != count and work[i] >> j & 1:
-                work[i] ^= work[count]
-        count += 1
-    return count
+    return len(_eliminate(m.row_bits, m.cols)[1])
 
 
 def pivot_columns(m: BitMatrix) -> list[int]:
     """Columns receiving a pivot under the deterministic elimination order."""
-    work = list(m.row_bits)
-    pivoted: set[int] = set()
-    out: list[int] = []
-    for j in range(m.cols):
-        pivot = next((i for i in range(m.rows) if i not in pivoted and work[i] >> j & 1), None)
-        if pivot is None:
-            continue
-        out.append(j)
-        pivoted.add(pivot)
-        for i in range(m.rows):
-            if i != pivot and work[i] >> j & 1:
-                work[i] ^= work[pivot]
-    return out
+    return [j for j, _ in _eliminate(m.row_bits, m.cols)[1]]

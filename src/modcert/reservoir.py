@@ -21,9 +21,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .gf2 import BitMatrix, BitVector, rank
+from .gf2 import rank
 from .traces import TraceTable
-from .witness import quotient_coords
+from .witness import quotient_matrix
 
 RNG_ALGORITHM = "mt19937"
 
@@ -133,16 +133,12 @@ def uniform_basis(core_size: int) -> tuple[tuple[int, ...], float]:
 def _verify_basis(core_size: int, basis: Sequence[int]) -> None:
     if len(basis) != core_size - 1:
         raise ValueError(f"basis must have {core_size - 1} traces, got {len(basis)}")
-    columns = [quotient_coords(BitVector(core_size, mask), 0) for mask in basis]
-    matrix = BitMatrix.from_columns(columns, rows=core_size - 1)
-    if rank(matrix) != core_size - 1:
+    if rank(quotient_matrix(basis, core_size)) != core_size - 1:
         raise ValueError("declared basis traces do not span the quotient")
 
 
 def _spans(core_size: int, masks: Sequence[int]) -> bool:
-    columns = [quotient_coords(BitVector(core_size, mask), 0) for mask in masks]
-    matrix = BitMatrix.from_columns(columns, rows=max(core_size - 1, 0))
-    return rank(matrix) == core_size - 1
+    return rank(quotient_matrix(masks, core_size)) == core_size - 1
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .absorb import AbsorptionProblem, TwinTailBlocks, twin_tail_decompose
+from .errors import InternalInvariantError
 from .gf2 import BitVector
 from .graph import Graph
 from .witness import ModularWitness, quotient_coords
@@ -241,5 +242,5 @@ def path_pair_trace_problem(q: int = 2) -> AbsorptionProblem:
     label = 0b00101
     problem = realize_problem(5, q, available, label)
     if problem is None:
-        raise AssertionError("path pair-trace instance must be realizable")
+        raise InternalInvariantError("path pair-trace instance must be realizable")
     return problem

@@ -172,7 +172,7 @@ def complement_difference(table: TraceTable) -> tuple[tuple[int, ...], QuotientC
     rho = tail_degrees(table)
     deltas = {rho[i] - vector[i] for i in range(table.size)}
     if len(deltas) != 1:
-        raise AssertionError("oriented-difference representative is not a constant shift of the tail counts")
+        raise InternalInvariantError("oriented-difference representative is not a constant shift of the tail counts")
     cls = QuotientClass.from_bits(table.core, [v % 2 for v in vector])
     return tuple(vector), cls
 
@@ -228,7 +228,7 @@ def oriented_orbit_form(
     cls = QuotientClass.from_bits(table.core, [acc >> i & 1 for i in range(table.size)])
     direct = next_bit_obstruction(tail_degrees(table), m, core=table.core)
     if not isinstance(direct, QuotientClass) or direct != cls:
-        raise AssertionError("orbit-difference class disagrees with the direct tail-count class")
+        raise InternalInvariantError("orbit-difference class disagrees with the direct tail-count class")
     return cls
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .gf2 import BitVector
+from .errors import InternalInvariantError
+from .gf2 import BitMatrix, BitVector
 from .graph import Graph, check_subset, induced_degrees, is_regular, mask_of
 
 
@@ -97,7 +98,7 @@ def terminal_check(witness: ModularWitness) -> TerminalResult:
         return TooLarge(size=size, q=witness.q)
     regular, degree = is_regular(witness.graph, witness.members)
     if not regular:
-        raise AssertionError(
+        raise InternalInvariantError(
             "a q-modular set of size <= q must induce a regular subgraph"
         )
     return Regular(degree=degree)
@@ -134,7 +135,7 @@ def top_bit_label(witness: ModularWitness, members) -> TopBitLabel:
     labels = {v: (degs[v] - d) // witness.q % 2 for v in sorted(s)}
     for v in sorted(s):
         if degs[v] % (2 * witness.q) != (d + witness.q * labels[v]) % (2 * witness.q):
-            raise AssertionError("top-bit label failed its defining congruence")
+            raise InternalInvariantError("top-bit label failed its defining congruence")
     return TopBitLabel(base_lift=d, q=witness.q, labels=labels)
 
 
@@ -154,6 +155,29 @@ def quotient_coords(x: BitVector, base_index: int) -> BitVector:
             continue
         bits.append((x.bits >> i & 1) ^ base)
     return BitVector.from_bits(bits)
+
+
+def quotient_matrix(masks, size: int) -> BitMatrix:
+    """Quotient coordinates (base position 0) of each mask, one column per mask.
+
+    Column j is ``quotient_coords`` of mask j over a core of ``size``
+    positions: the mask, complemented when it holds the base, shifted past
+    the base.  Rows are filled byte-wise and converted once each.
+    """
+    if size < 1:
+        raise ValueError(f"core size must be >= 1, got {size}")
+    full = (1 << size) - 1
+    rows = [bytearray((len(masks) + 7) >> 3) for _ in range(size - 1)]
+    for j, mask in enumerate(masks):
+        if not 0 <= mask <= full:
+            raise ValueError(f"trace mask {mask:#x} outside a core of size {size}")
+        coords = (mask ^ full if mask & 1 else mask) >> 1
+        byte, bit = j >> 3, 1 << (j & 7)
+        while coords:
+            low = coords & -coords
+            rows[low.bit_length() - 1][byte] |= bit
+            coords ^= low
+    return BitMatrix(size - 1, len(masks), tuple(int.from_bytes(row, "little") for row in rows))
 
 
 def affine_lift_check(witness: ModularWitness, members) -> bool:

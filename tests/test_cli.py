@@ -6,6 +6,7 @@ import pytest
 
 from modcert.cli import main
 from modcert.graph import Graph
+from modcert.parity import verify_even_partition
 from modcert.synth import path_pair_trace_problem, realize_problem
 
 from conftest import complete_bipartite, cycle
@@ -331,6 +332,31 @@ class TestFormats:
         assert code == 3
         assert out == ""
         assert "internal error: twin classes must partition the vertices" in err
+
+    def test_label_invariant_failure_exit_three(self, tmp_path, capsys, monkeypatch):
+        import modcert.witness
+
+        real = modcert.witness.is_q_modular
+        monkeypatch.setattr(
+            modcert.witness, "is_q_modular",
+            lambda graph, members, q: real(graph, members, q)._replace(residue=1),
+        )
+        target = write_graph(tmp_path, cycle(4))
+        code, out, err = run_cli(capsys, ["absorb", target, "--witness", "0,1,2,3",
+                                          "--core", "0,1", "--q", "2", "--json"])
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: top-bit label failed its defining congruence\n"
+
+    def test_path_beyond_4096_vertices(self, tmp_path, capsys):
+        # Dimensions are not capped: a valid graph of any size is solved.
+        n = 4097
+        graph = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        code, out, err = run_cli(capsys, ["parity", write_graph(tmp_path, graph), "--json"])
+        assert code == 0, err
+        payload = json.loads(out)
+        part0, part1 = (graph.ids_of(payload[key]) for key in ("part0", "part1"))
+        assert verify_even_partition(graph, part0, part1)
 
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run_cli(capsys, ["parity", "/nonexistent/graph.txt"])

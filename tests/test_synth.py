@@ -1,5 +1,7 @@
 import pytest
 
+import modcert.synth as synth_module
+from modcert.errors import InternalInvariantError
 from modcert.synth import path_pair_trace_problem, realize_problem, twin_pair_example
 from modcert.traces import tail_degrees
 from modcert.witness import is_q_modular, quotient_coords
@@ -82,3 +84,9 @@ def test_realize_q4_label_classes_cover_complement():
     assert problem is not None
     bits = problem.label_bits().to_tuple()
     assert bits in [(0, 1, 0), (1, 0, 1)]
+
+
+def test_unrealizable_path_problem_raises_internal_error(monkeypatch):
+    monkeypatch.setattr(synth_module, "realize_problem", lambda *args, **kwargs: None)
+    with pytest.raises(InternalInvariantError, match="must be realizable"):
+        path_pair_trace_problem()

@@ -4,7 +4,7 @@ import pytest
 
 import modcert.traces as traces_module
 from modcert.errors import InternalInvariantError
-from modcert.gf2 import BitMatrix, BitVector, rank
+from modcert.gf2 import BitVector, rank
 from modcert.graph import Graph
 from modcert.traces import (
     DivisibilityFails,
@@ -19,7 +19,7 @@ from modcert.traces import (
     pair_trace_graph,
     tail_degrees,
 )
-from modcert.witness import quotient_coords
+from modcert.witness import quotient_matrix
 
 from conftest import complete, complete_bipartite, cycle, path, petersen, random_graph
 
@@ -126,6 +126,13 @@ class TestComplementDifference:
             rho = tail_degrees(table)
             assert len({r - v for r, v in zip(rho, vector)}) == 1
 
+    def test_non_constant_shift_raises_internal_error(self, monkeypatch):
+        real = traces_module.tail_degrees
+        monkeypatch.setattr(traces_module, "tail_degrees", lambda t: (real(t)[0] + 1,) + tuple(real(t)[1:]))
+        table = compute_traces(cancelling_pair_graph(), range(4), {4, 5})
+        with pytest.raises(InternalInvariantError, match="not a constant shift"):
+            complement_difference(table)
+
 
 class TestNextBitObstruction:
     def test_constant_vector_zero_for_all_defined(self):
@@ -176,6 +183,12 @@ class TestOrientedOrbitForm:
         outcome = oriented_orbit_form(table, 2)
         assert isinstance(outcome, QuotientClass)
         assert outcome.is_zero()
+
+    def test_disagreeing_direct_class_raises_internal_error(self, monkeypatch):
+        monkeypatch.setattr(traces_module, "next_bit_obstruction", lambda *a, **k: NotConstantModulo(modulus=1))
+        table = compute_traces(cancelling_pair_graph(), range(4), {4, 5})
+        with pytest.raises(InternalInvariantError, match="disagrees with the direct"):
+            oriented_orbit_form(table, 0)
 
     def test_divisibility_failure_reported_even_when_direct_form_exists(self):
         # Three singleton traces: each oriented difference is odd, but the
@@ -232,8 +245,7 @@ class TestPairTraceGraph:
         assert not view.has_odd_heavy_trace
         # Even-weight span only: rank 2 < 3.
         masks = table.available_masks(2)
-        columns = [quotient_coords(BitVector(4, m), 0) for m in masks]
-        assert rank(BitMatrix.from_columns(columns, rows=3)) == 2
+        assert rank(quotient_matrix(masks, 4)) == 2
 
     def test_small_core_rejected(self):
         table = compute_traces(cycle(4), {0}, {1})

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modcert.witness as witness_module
+from modcert.errors import InternalInvariantError
 from modcert.gf2 import BitVector
 from modcert.parity import two_modular_part
 from modcert.synth import twin_pair_example
@@ -75,6 +77,13 @@ class TestTerminalCheck:
         assert terminal_check(w) == TooLarge(size=4, q=2)
 
 
+    def test_irregular_small_witness_raises_internal_error(self, monkeypatch):
+        witness = ModularWitness.build(cycle(4), range(4), 4)
+        monkeypatch.setattr(witness_module, "is_regular", lambda graph, members: (False, None))
+        with pytest.raises(InternalInvariantError, match="must induce a regular subgraph"):
+            terminal_check(witness)
+
+
 class TestTopBitLabel:
     def test_defect_free_is_all_zero(self):
         # Degrees equal the residue on the nose, so no top bit is set.
@@ -110,6 +119,17 @@ class TestTopBitLabel:
         w = ModularWitness.build(cycle(4), {0, 1}, 2)
         with pytest.raises(ValueError):
             top_bit_label(w, {3})
+
+
+    def test_wrong_residue_raises_internal_error(self, monkeypatch):
+        real = witness_module.is_q_modular
+        monkeypatch.setattr(
+            witness_module, "is_q_modular",
+            lambda graph, members, q: real(graph, members, q)._replace(residue=1),
+        )
+        witness = ModularWitness.build(cycle(4), range(4), 2)
+        with pytest.raises(InternalInvariantError, match="defining congruence"):
+            top_bit_label(witness, range(4))
 
 
 class TestQuotientCoords:
