@@ -481,28 +481,53 @@ def certificate_to_json(cert: Certificate, name_of=str) -> dict:
     return base
 
 
-def certificate_from_json(payload: dict, ids_of) -> Certificate:
-    """Parse the wire format back; ``ids_of`` maps name lists to id lists."""
+def certificate_from_json(payload, ids_of) -> Certificate:
+    """Parse the wire format back; ``ids_of`` maps name lists to id lists.
+
+    A payload of the wrong shape (not an object, a field missing or of the
+    wrong JSON type) raises ValueError, as does an unknown version or kind.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("certificate must be a JSON object")
     if payload.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported certificate version {payload.get('version')!r}")
-    q = int(payload["q"])
-    lift = int(payload["d"])
-    core = tuple(sorted(ids_of(payload["core"])))
+    q = _json_int(payload, "q")
+    lift = _json_int(payload, "d")
+    core = tuple(sorted(ids_of(_json_names(payload, "core"))))
     kind = payload.get("kind")
+    if not isinstance(kind, str):
+        raise ValueError("certificate needs a string 'kind'")
     if kind == "deletion":
+        entries = payload.get("chosen_traces")
+        if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+            raise ValueError("certificate needs a list of objects in 'chosen_traces'")
         chosen = tuple(
             (
-                tuple(sorted(ids_of(entry["trace"]))),
-                tuple(sorted(ids_of(entry["deleted_vertices"]))),
+                tuple(sorted(ids_of(_json_names(entry, "trace")))),
+                tuple(sorted(ids_of(_json_names(entry, "deleted_vertices")))),
             )
-            for entry in payload["chosen_traces"]
+            for entry in entries
         )
         residue = payload.get("residue_achieved")
         return DeletionCertificate(
             q=q, lift=lift, core=core, chosen=chosen,
-            residue_achieved=None if residue is None else int(residue),
+            residue_achieved=None if residue is None else _json_int(payload, "residue_achieved"),
         )
     if kind == "parity-cut":
-        members = tuple(sorted(ids_of(payload["parity_cut_Y"])))
+        members = tuple(sorted(ids_of(_json_names(payload, "parity_cut_Y"))))
         return ParityCut(q=q, lift=lift, core=core, members=members)
     raise ValueError(f"unknown certificate kind {kind!r}")
+
+
+def _json_int(payload: dict, key: str) -> int:
+    value = payload.get(key)
+    if type(value) is not int:
+        raise ValueError(f"certificate needs an integer {key!r}")
+    return value
+
+
+def _json_names(payload: dict, key: str) -> list[str]:
+    value = payload.get(key)
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise ValueError(f"certificate needs a list of vertex names in {key!r}")
+    return value

@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract: 0 success (for ``absorb``: a deletion
 certificate), 1 the parity-cut branch of a decision, 2 invalid input, and 3
-an internal inconsistency that should never happen.
+an internal inconsistency that should never happen.  Every run ends in one of
+them, never in a traceback.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import traceback
 from typing import Sequence
 
 from .absorb import (
@@ -385,6 +388,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # Last resort, so that no run ends in a traceback: any other failure
+        # is a defect of the program, not of its input.  The repr keeps the
+        # report on one line; the innermost frame says where it happened.
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {exc!r} at {os.path.basename(where.filename)}:{where.lineno}",
+              file=sys.stderr)
         return 3
 
 

@@ -4,9 +4,21 @@ Vertices are the integers 0..n-1.  Input files may name vertices arbitrarily;
 the original names are kept so reports and certificates can refer back to the
 input.  Adjacency is stored once, as one bit-mask per vertex (bit v of
 ``adj_masks[u]`` is set exactly when uv is an edge); neighbor and edge
-iteration read the masks.  :meth:`Graph.from_edges` packs each row as bytes
-and turns it into an integer once; when a header gives the vertex count, the
-parsers stream validated edges into it without building an edge list.
+iteration read the masks.  :meth:`Graph.from_edges` is the one builder: it
+sets bits in packed byte rows and turns each row into an integer once.  The
+parsers stream validated edges into it without building an edge list
+(except a header-less edge list, whose vertex count is known only at the
+end).
+
+An edge list with an ``n <count>`` header is read in chunks of about 64 Ki
+characters, each extended to the end of its line.  A chunk of canonical lines
+only -- ``u v`` with one space, ids in the default decimal spelling (no sign,
+no leading zero) below the count, ``u != v`` -- is checked and converted in a
+few passes that run in C.  Any other chunk (comments, blank lines, other
+whitespace, ``01`` or ``+2``, a missing final newline, an error) is read line
+by line by :func:`_numbered_edges`, which alone defines the accepted syntax
+and the error messages; line numbers count from the start of the stream
+either way.
 """
 
 from __future__ import annotations
@@ -14,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import eq, itemgetter
 from typing import IO, Iterable, Iterator
 
 from .errors import ParseError
@@ -37,15 +50,16 @@ class Graph:
         name_tuple = tuple(names) if names is not None else tuple(str(v) for v in range(n))
         if len(name_tuple) != n:
             raise ValueError(f"expected {n} names, got {len(name_tuple)}")
-        width = (n + 7) >> 3
-        rows = [bytearray(width) for _ in range(n)]
+        rows = [bytearray((n + 7) >> 3) for _ in range(n)]
+        byte = [v >> 3 for v in range(n)]
+        bit = [1 << (v & 7) for v in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            rows[u][v >> 3] |= 1 << (v & 7)
-            rows[v][u >> 3] |= 1 << (u & 7)
+            rows[u][byte[v]] |= bit[v]
+            rows[v][byte[u]] |= bit[u]
         masks = tuple(int.from_bytes(row, "little") for row in rows)
         return cls(n=n, names=name_tuple, adj_masks=masks)
 
@@ -151,7 +165,8 @@ def _load_edge_list(stream: IO[str]) -> Graph:
         declared_n = _header_count(tokens, lineno)
         if declared_n is None:
             return _load_named_edges(chain([(lineno, raw)], lines))
-        return Graph.from_edges(declared_n, _numbered_edges(lines, declared_n))
+        chunks = _numbered_chunks(stream, declared_n, lineno + 1)
+        return Graph.from_edges(declared_n, chain.from_iterable(chunks))
     return Graph.from_edges(0, ())
 
 
@@ -166,6 +181,49 @@ def _header_count(tokens: list[str], lineno: int) -> int | None:
     if count < 0:
         raise ParseError(f"negative vertex count {count}", lineno)
     return count
+
+
+# Characters per read of a headed edge list; keeps each chunk's token list small.
+_CHUNK = 1 << 16
+
+
+def _numbered_chunks(stream: IO[str], n: int, lineno: int) -> Iterator[Iterable[tuple[int, int]]]:
+    """The edges after an ``n`` header, one iterable per chunk of whole lines.
+
+    ``lineno`` is the number of the stream's next line.  A canonical chunk is
+    converted at once, any other chunk line by line.
+    """
+    ids = {str(v): v for v in range(n)}
+    while chunk := stream.read(_CHUNK):
+        if chunk[-1] != "\n":
+            chunk += stream.readline()
+        yield _canonical_edges(chunk, ids) or _numbered_edges(
+            enumerate(chunk.split("\n"), start=lineno), n
+        )
+        lineno += chunk.count("\n")
+
+
+def _canonical_edges(chunk: str, ids: dict[str, int]) -> zip | None:
+    """The id pairs of a chunk whose every line is canonical ``u v``, else None.
+
+    The chunk rebuilt from its whitespace-free tokens, two per line joined by
+    one space, equals it exactly when every line is ``a b`` with a single
+    space and ends in a newline.  ``ids`` holds only the default names, so a
+    lookup fails on any other spelling or on an id out of range.  A chunk
+    with no tokens goes line by line too, so ``itemgetter`` gets at least two.
+    """
+    tokens = chunk.split()
+    pairs = iter(tokens)
+    if not tokens or "\n".join(map(" ".join, zip(pairs, pairs))) + "\n" != chunk:
+        return None
+    try:
+        ends = itemgetter(*tokens)(ids)
+    except KeyError:
+        return None
+    us, vs = ends[::2], ends[1::2]
+    if any(map(eq, us, vs)):
+        return None
+    return zip(us, vs)
 
 
 def _numbered_edges(lines: Iterator[tuple[int, str]], n: int) -> Iterator[tuple[int, int]]:

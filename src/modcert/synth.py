@@ -228,7 +228,8 @@ def twin_pair_example() -> tuple[AbsorptionProblem, TwinTailBlocks]:
     witness = ModularWitness.build(graph, range(8), 2)
     problem = AbsorptionProblem.build(witness, range(4))
     blocks = twin_tail_decompose(problem.table, 2)
-    assert isinstance(blocks, TwinTailBlocks)
+    if not isinstance(blocks, TwinTailBlocks):
+        raise InternalInvariantError("twin pair example must decompose into twin blocks")
     return problem, blocks
 
 

@@ -286,6 +286,72 @@ class TestVerifyCert:
         assert json.loads(out)["valid"] is False
 
 
+def _certificate_args(problem) -> list[str]:
+    return [
+        "--core", names(problem.core),
+        "--witness", names(sorted(problem.witness.members)),
+        "--q", str(problem.q),
+    ]
+
+
+def _without(key):
+    return lambda c: {k: v for k, v in c.items() if k != key}
+
+
+def _with(key, value):
+    return lambda c: {**c, key: value}
+
+
+def _with_entry(edit):
+    return lambda c: {**c, "chosen_traces": [edit(c["chosen_traces"][0])] + c["chosen_traces"][1:]}
+
+
+MALFORMED_CERTIFICATES = [
+    ("top-level-list", "deletion", lambda c: [c], "must be a JSON object"),
+    ("no-q", "deletion", _without("q"), "needs an integer 'q'"),
+    ("cut-no-q", "parity-cut", _without("q"), "needs an integer 'q'"),
+    ("string-q", "deletion", _with("q", "2"), "needs an integer 'q'"),
+    ("null-d", "deletion", _with("d", None), "needs an integer 'd'"),
+    ("bool-d", "deletion", _with("d", True), "needs an integer 'd'"),
+    ("no-core", "deletion", _without("core"), "vertex names in 'core'"),
+    ("nested-core", "deletion", _with("core", [["1"]]), "vertex names in 'core'"),
+    ("no-kind", "deletion", _without("kind"), "needs a string 'kind'"),
+    ("list-kind", "parity-cut", _with("kind", ["parity-cut"]), "needs a string 'kind'"),
+    ("object-traces", "deletion", _with("chosen_traces", {"trace": []}),
+     "list of objects in 'chosen_traces'"),
+    ("list-entry", "deletion", lambda c: {**c, "chosen_traces": c["chosen_traces"] + [["1"]]},
+     "list of objects in 'chosen_traces'"),
+    ("string-trace", "deletion", _with_entry(_with("trace", "1,2")), "vertex names in 'trace'"),
+    ("no-deleted", "deletion", _with_entry(_without("deleted_vertices")),
+     "vertex names in 'deleted_vertices'"),
+    ("list-residue", "deletion", _with("residue_achieved", [0]), "needs an integer 'residue_achieved'"),
+    ("object-cut", "parity-cut", _with("parity_cut_Y", {"1": 1}), "vertex names in 'parity_cut_Y'"),
+    ("no-cut", "parity-cut", _without("parity_cut_Y"), "vertex names in 'parity_cut_Y'"),
+]
+
+
+@pytest.mark.parametrize("kind,edit,message", [case[1:] for case in MALFORMED_CERTIFICATES],
+                         ids=[case[0] for case in MALFORMED_CERTIFICATES])
+def test_malformed_certificate_exit_two(tmp_path, capsys, kind, edit, message):
+    if kind == "deletion":
+        problem = path_pair_trace_problem(2)
+    else:
+        problem = realize_problem(4, 2, [0b0011, 0b1100], 0b0001)
+    target = write_graph(tmp_path, problem.graph)
+    args = _certificate_args(problem)
+    _, out, _ = run_cli(capsys, ["absorb", target, "--json"] + args)
+    payload = json.loads(out)
+    assert payload["kind"] == kind
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(edit(payload)), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["verify-cert", target, "--json",
+                                      "--certificate", str(cert_path)] + args)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 class TestFormats:
     def test_dimacs_input(self, tmp_path, capsys):
         target = tmp_path / "c5.col"
@@ -347,6 +413,33 @@ class TestFormats:
         assert code == 3
         assert out == ""
         assert err == "internal error: top-bit label failed its defining congruence\n"
+
+    def test_unexpected_exception_exit_three(self, tmp_path, capsys, monkeypatch):
+        import modcert.cli
+
+        def boom(graph):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(modcert.cli, "neighborhood_diversity", boom)
+        code, out, err = run_cli(capsys, ["nd", write_graph(tmp_path, cycle(4)), "--json"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError('boom') at test_cli.py:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_crlf_file_matches_lf_file(self, tmp_path, capsys):
+        # Text mode reads either line ending as "\n", both by line and in chunks.
+        lf = edge_list_text(complete_bipartite(3, 4))
+        outputs = []
+        for name, text in (("lf.txt", lf), ("crlf.txt", lf.replace("\n", "\r\n"))):
+            target = tmp_path / name
+            target.write_bytes(text.encode("ascii"))
+            code, out, err = run_cli(capsys, ["nd", str(target), "--json"])
+            assert code == 0, err
+            outputs.append(out)
+        assert b"\r\n" in (tmp_path / "crlf.txt").read_bytes()
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["classes"] == [["0", "1", "2"], ["3", "4", "5", "6"]]
 
     def test_path_beyond_4096_vertices(self, tmp_path, capsys):
         # Dimensions are not capped: a valid graph of any size is solved.

@@ -8,16 +8,21 @@ header-less edge list whose first line is ``n x`` with a non-integer ``x`` is
 the edge between ``n`` and ``x``, where the reference rejected it as a bad
 vertex count.  A DIMACS problem line with a negative count is now rejected at
 that line; the reference failed later, or with a names-count error.
+
+A headed edge list is read in chunks; the chunk size is shrunk here so that
+chunk boundaries fall between, before and after every kind of line.
 """
 
 import io
 import random
 import re
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_graph as ref
+import modcert.graph as graph_module
 from modcert.errors import ParseError
 from modcert.graph import Graph, load_graph
 from modcert.traces import neighborhood_diversity
@@ -217,3 +222,88 @@ def test_header_fix_is_the_only_bad_count_case():
     g = load_graph(io.StringIO("n x\nx y\n"))
     assert g.names == ("n", "x", "y")
     assert list(g.edges()) == [(0, 1), (1, 2)]
+
+
+# Lines after an ``n 6`` header that are valid but not canonical ``u v``; each
+# sends its chunk down the line-by-line path.
+NON_CANONICAL = [
+    "1\t2", " 1 2", "1 2 ", "1  2", "01 2", "+2 1", "1\x0b2", "1\x1c2", "1\u00a02", "1\u20282",
+    "1 2\r", "# comment", "1 2 # note", "1 2#x", "", "   ", "\t",
+]
+# Lines after an ``n 6`` header that the reference rejects.
+DEFECTS = [
+    "1 6", "6 1", "3 3", "03 3", "-1 2", "a 1", "1 2 3", "1", "1 2.0", "n 6", "1 2\r3 4", "\u00e9 1",
+]
+
+
+def canonical_lines(n: int, count: int, rnd: random.Random) -> list[str]:
+    return [f"{u} {v}" for u, v in (rnd.sample(range(n), 2) for _ in range(count))]
+
+
+def chunked_outcomes(text: str, chunk: int):
+    with mock.patch.object(graph_module, "_CHUNK", chunk):
+        new = outcome(load_graph, text)
+    return new, outcome(ref.load_edge_list, text)
+
+
+def test_chunked_parse_with_one_defect_anywhere():
+    """One defect on every line in turn, so it lands first, last and inside a chunk."""
+    rnd = random.Random(41)
+    body = canonical_lines(6, 24, rnd)
+    for chunk in (1, 4, 9, 16, 40):
+        for index in range(len(body)):
+            for defect in rnd.sample(DEFECTS, 3):
+                lines = ["n 6"] + body[:index] + [defect] + body[index + 1:]
+                new, old = chunked_outcomes("\n".join(lines) + "\n", chunk)
+                assert new == old and new[0] == "error", (chunk, index, defect)
+
+
+def test_chunked_parse_with_non_canonical_lines_anywhere():
+    rnd = random.Random(42)
+    body = canonical_lines(6, 24, rnd)
+    for chunk in (1, 4, 9, 16, 40):
+        for index in range(len(body) + 1):
+            for line in NON_CANONICAL:
+                lines = ["n 6"] + body[:index] + [line] + body[index:]
+                for end in ("\n", ""):
+                    new, old = chunked_outcomes("\n".join(lines) + end, chunk)
+                    assert new == old and new[0] == "graph", (chunk, index, line, end)
+
+
+@st.composite
+def headed_text(draw) -> str:
+    """An ``n 6`` edge list of mostly canonical lines, some not, at most one defect."""
+    lines = [draw(st.sampled_from(["n 6", " n 6 # header", "n\t6", "# lead\nn 6"]))]
+    lines += canonical_lines(6, draw(st.integers(0, 40)), draw(st.randoms(use_true_random=False)))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(NON_CANONICAL)))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(DEFECTS)))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n", "\r\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(headed_text(), st.integers(1, 80))
+def test_chunked_parse_matches_reference(text, chunk):
+    new, old = chunked_outcomes(text, chunk)
+    assert new == old
+
+
+def test_canonical_chunks_skip_the_line_by_line_path(monkeypatch):
+    """Only chunks holding a non-canonical line or a missing final newline go line by line."""
+    calls = []
+    real = graph_module._numbered_edges
+
+    def spy(lines, n):
+        calls.append(n)
+        return real(lines, n)
+
+    monkeypatch.setattr(graph_module, "_numbered_edges", spy)
+    monkeypatch.setattr(graph_module, "_CHUNK", 64)
+    body = canonical_lines(1000, 200, random.Random(43))
+    text = "n 1000\n" + "\n".join(body) + "\n"
+    assert outcome(load_graph, text) == outcome(ref.load_edge_list, text)
+    assert calls == []
+    text = "n 1000\n" + "\n".join(body[:100] + ["7\t8"] + body[100:])
+    assert outcome(load_graph, text) == outcome(ref.load_edge_list, text)
+    assert calls == [1000, 1000]

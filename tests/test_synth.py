@@ -90,3 +90,9 @@ def test_unrealizable_path_problem_raises_internal_error(monkeypatch):
     monkeypatch.setattr(synth_module, "realize_problem", lambda *args, **kwargs: None)
     with pytest.raises(InternalInvariantError, match="must be realizable"):
         path_pair_trace_problem()
+
+
+def test_twin_pair_example_without_blocks_raises_internal_error(monkeypatch):
+    monkeypatch.setattr(synth_module, "twin_tail_decompose", lambda table, q: None)
+    with pytest.raises(InternalInvariantError, match="must decompose into twin blocks"):
+        twin_pair_example()
