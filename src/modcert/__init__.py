@@ -28,6 +28,7 @@ from .absorb import (
     solve_core_correction,
     solve_defect,
     twin_tail_decompose,
+    verify_certificate,
     verify_deletion_certificate,
     verify_parity_cut,
 )

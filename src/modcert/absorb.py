@@ -193,26 +193,44 @@ def solve_core_correction(problem: AbsorptionProblem) -> Certificate:
     return cut
 
 
-def _deletion_outcome(problem: AbsorptionProblem, cert: DeletionCertificate) -> tuple[bool, int | None]:
-    """Physically delete the cited q-tuples and recheck the mod-2q congruence."""
+def _check_problem_claims(problem: AbsorptionProblem, cert: Certificate) -> None:
+    """The q, d and core a certificate of either kind declares must be the problem's."""
     if cert.q != problem.q:
         raise ValueError(f"certificate modulus {cert.q} does not match the problem's {problem.q}")
+    if cert.lift != problem.lift:
+        raise ValueError(f"certificate lift {cert.lift} does not match the problem's {problem.lift}")
     if tuple(cert.core) != problem.core:
         raise ValueError("certificate core does not match the problem core")
+
+
+def _deletion_outcome(problem: AbsorptionProblem, cert: DeletionCertificate) -> tuple[bool, int | None]:
+    """Physically delete the cited q-tuples and recheck the mod-2q congruence.
+
+    Fails when a deleted vertex does not realize its declared trace or when a
+    declared residue is not the recomputed one.
+    """
+    _check_problem_claims(problem, cert)
     graph = problem.graph
+    core_mask = mask_of(problem.core)
     tail = set(problem.table.tail_vertices())
     deleted: set[int] = set()
+    traces_hold = True
     for trace_members, tuple_members in cert.chosen:
         if len(tuple_members) != cert.q:
             raise ValueError(
                 f"trace {trace_members}: expected a q-tuple of size {cert.q}, got {len(tuple_members)}"
             )
+        trace = mask_of(trace_members)
+        traces_hold &= trace.bit_count() == len(trace_members)
         for v in tuple_members:
             if v not in tail:
                 raise ValueError(f"deleted vertex {v} is not a tail vertex")
             if v in deleted:
                 raise ValueError(f"deleted vertex {v} cited twice; q-tuples must be disjoint")
             deleted.add(v)
+            traces_hold &= (graph.adj_masks[v] & core_mask) == trace
+    if not traces_hold:
+        return False, None
     retained = problem.witness.members - deleted
     retained_mask = mask_of(retained)
     two_q = 2 * cert.q
@@ -220,15 +238,30 @@ def _deletion_outcome(problem: AbsorptionProblem, cert: DeletionCertificate) -> 
         (graph.adj_masks[u] & retained_mask).bit_count() % two_q
         for u in problem.core
     }
-    if len(residues) == 1:
-        return True, residues.pop()
-    return False, None
+    if len(residues) != 1:
+        return False, None
+    residue = residues.pop()
+    if cert.residue_achieved is not None and cert.residue_achieved != residue:
+        return False, None
+    return True, residue
 
 
 def verify_deletion_certificate(problem: AbsorptionProblem, cert: DeletionCertificate) -> bool:
     """Independent recheck: delete the cited vertices, recompute degrees directly."""
     ok, _ = _deletion_outcome(problem, cert)
     return ok
+
+
+def verify_certificate(problem: AbsorptionProblem, cert: Certificate) -> bool:
+    """Check every claim of a certificate of either kind against the problem.
+
+    A q, d or core that is not the problem's raises ValueError; any other
+    false claim makes the certificate invalid.
+    """
+    if isinstance(cert, DeletionCertificate):
+        return verify_deletion_certificate(problem, cert)
+    _check_problem_claims(problem, cert)
+    return verify_parity_cut(problem, cert.members)
 
 
 def verify_parity_cut(problem: AbsorptionProblem, members) -> bool:

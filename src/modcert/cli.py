@@ -20,13 +20,11 @@ from .absorb import (
     AbsorptionProblem,
     Applies,
     DeletionCertificate,
-    ParityCut,
     certificate_from_json,
     certificate_to_json,
     pair_trace_sufficiency,
     solve_core_correction,
-    verify_deletion_certificate,
-    verify_parity_cut,
+    verify_certificate,
 )
 from .errors import InternalInvariantError, ParseError
 from .graph import Graph, load_graph
@@ -97,10 +95,7 @@ def _cmd_absorb(args) -> int:
     graph = _load(args)
     problem = _problem_from_args(args, graph)
     certificate = solve_core_correction(problem)
-    if isinstance(certificate, DeletionCertificate):
-        verified = verify_deletion_certificate(problem, certificate)
-    else:
-        verified = verify_parity_cut(problem, certificate.members)
+    verified = verify_certificate(problem, certificate)
     if not verified:
         raise InternalInvariantError("emitted certificate failed re-verification")
     payload = certificate_to_json(certificate, name_of=graph.name_of)
@@ -306,10 +301,7 @@ def _cmd_verify_cert(args) -> int:
     with open(args.certificate, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     certificate = certificate_from_json(payload, ids_of=graph.ids_of)
-    if isinstance(certificate, ParityCut):
-        valid = verify_parity_cut(problem, certificate.members)
-    else:
-        valid = verify_deletion_certificate(problem, certificate)
+    valid = verify_certificate(problem, certificate)
     _emit(args, {"command": "verify-cert", "valid": valid}, [f"valid: {valid}"])
     return 0 if valid else 1
 

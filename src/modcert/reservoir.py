@@ -10,16 +10,22 @@ absorbable.
 
 Randomness is Mersenne Twister with per-trial streams derived from
 (seed, trial index), so serial and parallel execution agree and identical
-specs reproduce identical output byte for byte.
+specs reproduce identical output byte for byte.  The stream contract: trial t
+seeds ``random.Random((seed << 32) + t)`` and, for the uniform distribution,
+its N samples are the values of N successive ``getrandbits(m)`` calls.  They
+are drawn in blocks of whole 32-bit words (one ``getrandbits(32 * w * k)`` per
+block of k samples, w = ceil(m / 32)), which consumes the same MT19937 words
+in the same order and leaves the generator in the same state.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .gf2 import rank
 from .traces import TraceTable
@@ -83,12 +89,43 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random((seed << 32) + trial)
 
 
+# Samples per getrandbits call: the transient draw stays under 256 KiB per
+# 32-bit word of a sample, however many samples a trial takes.
+_BLOCK = 1 << 16
+# _TOP_BITS[m] maps a byte to its top m bits, for m = 1..8.
+_TOP_BITS = [None] + [bytes(b >> (8 - m) for b in range(256)) for m in range(1, 9)]
+
+
+def _uniform_draws(m: int, n: int, rng: random.Random) -> Iterator[Sequence[int]]:
+    """The values of n successive ``rng.getrandbits(m)`` calls, in blocks.
+
+    For k <= 32, CPython's getrandbits(k) takes one 32-bit MT19937 word and
+    keeps its top k bits; for larger k it takes ceil(k / 32) words, least
+    significant first, and keeps the top bits of the last one.  A draw of
+    32 * w * k bits is k * w whole words in the same order, so slicing it
+    gives the same values and leaves ``rng`` in the same state.
+    """
+    words = (m + 31) >> 5  # 32-bit words per sample
+    span = 4 * words  # bytes per sample
+    low_bits = 32 * (words - 1)  # taken whole from the lower words
+    low = (1 << low_bits) - 1
+    drop = 32 * words - m  # low bits dropped from the top word
+    for start in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - start)
+        raw = rng.getrandbits(8 * span * k).to_bytes(span * k, "little")
+        if m <= 8:
+            # Byte 3 of each little-endian word is its top byte.
+            yield raw[3::4].translate(_TOP_BITS[m])
+        else:
+            values = (int.from_bytes(raw[i:i + span], "little") for i in range(0, span * k, span))
+            yield [(v & low) | (v >> (low_bits + drop)) << low_bits for v in values]
+
+
 def _draw_counts(spec: ReservoirSpec, rng: random.Random) -> Counter:
     counts: Counter = Counter()
     if spec.distribution == "uniform":
-        m = spec.core_size
-        for _ in range(spec.samples):
-            counts[rng.getrandbits(m)] += 1
+        for block in _uniform_draws(spec.core_size, spec.samples, rng):
+            counts.update(block)
         return counts
     masks = [mask for mask, _ in spec.distribution]
     cumulative = []
@@ -96,9 +133,11 @@ def _draw_counts(spec: ReservoirSpec, rng: random.Random) -> Counter:
     for _, prob in spec.distribution:
         acc += prob
         cumulative.append(acc)
+    last = len(masks) - 1
     for _ in range(spec.samples):
-        u = rng.random()
-        index = next((i for i, bound in enumerate(cumulative) if u < bound), len(masks) - 1)
+        # The first bound above u; u at or past the last bound (float
+        # rounding) takes the last mask.
+        index = min(bisect.bisect_right(cumulative, rng.random()), last)
         counts[masks[index]] += 1
     return counts
 
@@ -113,7 +152,7 @@ def sample_reservoir(spec: ReservoirSpec, trial: int = 0) -> TraceTable:
     m = spec.core_size
     draws: list[int] = []
     if spec.distribution == "uniform":
-        draws = [rng.getrandbits(m) for _ in range(spec.samples)]
+        draws = [v for block in _uniform_draws(m, spec.samples, rng) for v in block]
     else:
         counts = _draw_counts(spec, rng)
         for mask in sorted(counts):

@@ -1,5 +1,7 @@
 import pytest
 
+import dataclasses
+
 from modcert.absorb import (
     AbsorptionProblem,
     Applies,
@@ -23,6 +25,7 @@ from modcert.absorb import (
     solve_defect,
     trace_class_matrix,
     twin_tail_decompose,
+    verify_certificate,
     verify_deletion_certificate,
     verify_parity_cut,
 )
@@ -144,6 +147,35 @@ class TestVerifyDeletionCertificate:
                 chosen=((table.members_of(0b00011), (realizers[0], core_vertex)),),
                 residue_achieved=None,
             ))
+
+
+class TestVerifyCertificate:
+    def test_genuine_certificates_verify(self):
+        for problem in (path_pair_trace_problem(2), realize_problem(4, 2, [0b0011, 0b1100], 0b0001)):
+            assert verify_certificate(problem, solve_core_correction(problem))
+
+    def test_declared_trace_must_be_realized(self):
+        problem = path_pair_trace_problem(2)
+        cert = solve_core_correction(problem)
+        (trace, deleted), *rest = cert.chosen
+        for wrong in (trace[1:], trace + (problem.core[-1],), (trace[0],) + trace):
+            bad = dataclasses.replace(cert, chosen=((wrong, deleted), *rest))
+            assert not verify_certificate(problem, bad)
+
+    def test_declared_residue_must_be_recomputed(self):
+        problem = path_pair_trace_problem(2)
+        cert = solve_core_correction(problem)
+        assert verify_certificate(problem, dataclasses.replace(cert, residue_achieved=None))
+        wrong = (cert.residue_achieved + 1) % (2 * problem.q)
+        assert not verify_certificate(problem, dataclasses.replace(cert, residue_achieved=wrong))
+
+    def test_problem_claims_checked_for_both_kinds(self):
+        for problem in (path_pair_trace_problem(2), realize_problem(4, 2, [0b0011, 0b1100], 0b0001)):
+            cert = solve_core_correction(problem)
+            for change in ({"q": 2 * problem.q}, {"lift": problem.lift + 1},
+                           {"core": problem.core[1:]}):
+                with pytest.raises(ValueError):
+                    verify_certificate(problem, dataclasses.replace(cert, **change))
 
 
 class TestVerifyParityCut:

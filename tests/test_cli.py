@@ -352,6 +352,59 @@ def test_malformed_certificate_exit_two(tmp_path, capsys, kind, edit, message):
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+def _popped(key):
+    return lambda c: {**c, key: c[key][1:]}
+
+
+def _first_trace_popped(c):
+    index = next(i for i, entry in enumerate(c["chosen_traces"]) if entry["trace"])
+    entry = c["chosen_traces"][index]
+    traces = list(c["chosen_traces"])
+    traces[index] = {**entry, "trace": entry["trace"][1:]}
+    return {**c, "chosen_traces": traces}
+
+
+# Each edit makes one false claim; a wrong q, d or core is invalid input (exit
+# 2), any other false claim an invalid certificate (exit 1).
+TAMPERED_CERTIFICATES = [
+    ("residue", "deletion",
+     lambda c: {**c, "residue_achieved": (c["residue_achieved"] + 1) % (2 * c["q"])}, 1),
+    ("d+1", "deletion", lambda c: {**c, "d": c["d"] + 1}, 2),
+    ("trace", "deletion", _first_trace_popped, 1),
+    ("deletion-2q", "deletion", lambda c: {**c, "q": 2 * c["q"]}, 2),
+    ("deletion-core", "deletion", _popped("core"), 2),
+    ("genuine-cut", "parity-cut", lambda c: c, 0),
+    ("2q", "parity-cut", lambda c: {**c, "q": 2 * c["q"]}, 2),
+    ("cut-d+1", "parity-cut", lambda c: {**c, "d": c["d"] + 1}, 2),
+    ("core", "parity-cut", _popped("core"), 2),
+    ("cut", "parity-cut", _popped("parity_cut_Y"), 1),
+]
+
+
+@pytest.mark.parametrize("kind,edit,expected", [case[1:] for case in TAMPERED_CERTIFICATES],
+                         ids=[case[0] for case in TAMPERED_CERTIFICATES])
+def test_tampered_certificate_exit_code(tmp_path, capsys, kind, edit, expected):
+    if kind == "deletion":
+        problem = path_pair_trace_problem(2)
+    else:
+        problem = realize_problem(4, 2, [0b0011, 0b1100], 0b0001)
+    target = write_graph(tmp_path, problem.graph)
+    args = _certificate_args(problem)
+    _, out, _ = run_cli(capsys, ["absorb", target, "--json"] + args)
+    payload = json.loads(out)
+    assert payload["kind"] == kind
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(edit(payload)), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["verify-cert", target, "--json",
+                                      "--certificate", str(cert_path)] + args)
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and json.loads(out)["valid"] is (expected == 0)
+
+
 class TestFormats:
     def test_dimacs_input(self, tmp_path, capsys):
         target = tmp_path / "c5.col"

@@ -132,6 +132,32 @@ class TestEstimateAvailability:
         assert set(payload["per_trial_failures"]) <= {"0", "1"}
 
 
+class TestStreamPin:
+    """Literals recorded from the per-sample getrandbits(m) draws.
+
+    A change to how samples are drawn from the per-trial stream
+    Random((seed << 32) + trial) fails here.
+    """
+
+    def test_failures_pinned(self):
+        spec = ReservoirSpec(core_size=4, q=2, samples=60, trials=40, seed=7)
+        report = estimate_availability(spec)
+        assert report.per_trial_failures == "1000000000000001000000100100000010001000"
+        assert report.rank_rich_fraction == 1.0
+
+    def test_span_fraction_pinned(self):
+        spec = ReservoirSpec(core_size=4, q=2, samples=16, trials=40, seed=7)
+        assert estimate_availability(spec).rank_rich_fraction == 0.725
+
+    def test_wide_samples_pinned(self):
+        spec = ReservoirSpec(core_size=12, q=1, samples=4, trials=3, seed=7)
+        assert sample_reservoir(spec, trial=2).entries == {
+            187: (12,), 2357: (13,), 3072: (14,), 1349: (15,)}
+        spec = ReservoirSpec(core_size=40, q=1, samples=4, trials=3, seed=7)
+        assert sample_reservoir(spec, trial=2).entries == {
+            631556436403: (40,), 363999344202: (41,), 1068151292457: (42,), 613676423427: (43,)}
+
+
 class TestUniformSampleSize:
     def test_matches_formula(self):
         n = uniform_sample_size(4, 2, 0.1)

@@ -1,0 +1,135 @@
+"""Differential tests: the block-drawn reservoir samples against the frozen reference.
+
+``_reference_reservoir`` keeps the per-sample ``getrandbits(m)`` loop and the
+linear scan of the cumulative bounds.  Results must be equal, not merely
+alike in distribution: the same values in the same order, the same generator
+state afterwards, and the same reports and trace tables.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _reference_reservoir as ref
+import modcert.reservoir as reservoir
+from modcert.reservoir import ReservoirSpec, estimate_availability, sample_reservoir
+
+WIDTHS = list(range(1, 71)) + [96, 97, 128]
+
+# (m, q, samples, trials) of the reservoir-sweep benchmark.
+BENCH_CONFIGS = ((3, 2, 192, 4000), (4, 2, 436, 3000), (4, 4, 436, 3000), (6, 2, 2003, 1500))
+
+
+def drawn(m: int, n: int, rng: random.Random) -> list[int]:
+    return [v for block in reservoir._uniform_draws(m, n, rng) for v in block]
+
+
+@pytest.mark.parametrize("m", WIDTHS)
+def test_draws_match_getrandbits_across_blocks(monkeypatch, m):
+    monkeypatch.setattr(reservoir, "_BLOCK", 4)
+    for n in range(1, 12):
+        seed = m * 1000 + n
+        rng, expected_rng = random.Random(seed), random.Random(seed)
+        assert drawn(m, n, rng) == [expected_rng.getrandbits(m) for _ in range(n)]
+        assert rng.getstate() == expected_rng.getstate()
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 9, 32, 33, 64, 65])
+def test_draws_match_getrandbits_at_full_block(m):
+    for n in (2003, reservoir._BLOCK + 3):
+        rng, expected_rng = random.Random(m), random.Random(m)
+        assert drawn(m, n, rng) == [expected_rng.getrandbits(m) for _ in range(n)]
+        assert rng.getstate() == expected_rng.getstate()
+
+
+def test_blocks_are_bounded(monkeypatch):
+    monkeypatch.setattr(reservoir, "_BLOCK", 5)
+    sizes = [len(block) for block in reservoir._uniform_draws(3, 12, random.Random(0))]
+    assert sizes == [5, 5, 2]
+
+
+@pytest.mark.parametrize("seed", [1, 123456789, 2 ** 31 - 1])
+@pytest.mark.parametrize("m,q,samples,trials", BENCH_CONFIGS)
+def test_bench_reports_match_reference(monkeypatch, m, q, samples, trials, seed):
+    spec = ReservoirSpec(core_size=m, q=q, samples=samples, trials=trials, seed=seed)
+    got = estimate_availability(spec).to_json_dict()
+    monkeypatch.setattr(reservoir, "_draw_counts", ref._draw_counts)
+    assert got == estimate_availability(spec).to_json_dict()
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 9, 31, 33, 70])
+def test_uniform_tables_match_reference(m):
+    spec = ReservoirSpec(core_size=m, q=2, samples=300, trials=3, seed=11)
+    for trial in range(spec.trials):
+        assert sample_reservoir(spec, trial) == ref.sample_reservoir(spec, trial)
+
+
+def test_explicit_tables_match_reference(monkeypatch):
+    spec = ReservoirSpec(core_size=3, q=2, samples=500, trials=3, seed=12,
+                         distribution=((0b011, 0.5), (0b110, 0.0), (0b101, 0.25), (0b111, 0.25)))
+    for trial in range(spec.trials):
+        table = sample_reservoir(spec, trial)
+        assert table == ref.sample_reservoir(spec, trial)
+        assert list(table.entries) == list(ref.sample_reservoir(spec, trial).entries)
+    basis = (0b011, 0b101)
+    got = estimate_availability(spec, basis).to_json_dict()
+    monkeypatch.setattr(reservoir, "_draw_counts", ref._draw_counts)
+    assert got == estimate_availability(spec, basis).to_json_dict()
+
+
+class ScriptedRng:
+    """Hands out fixed values from ``random()``, in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+@st.composite
+def distributions_and_draws(draw):
+    weights = draw(st.lists(st.integers(0, 5), min_size=1, max_size=8).filter(any))
+    masks = draw(st.lists(st.integers(0, 15), min_size=len(weights), max_size=len(weights),
+                          unique=True))
+    total = sum(weights)
+    distribution = tuple((mask, w / total) for mask, w in zip(masks, weights))
+    bounds = []
+    acc = 0.0
+    for _, prob in distribution:
+        acc += prob
+        bounds.append(acc)
+    u = st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from(bounds),
+        st.floats(bounds[-1], 1.0, exclude_max=True) if bounds[-1] < 1.0 else st.just(0.0),
+    )
+    return distribution, draw(st.lists(u, min_size=1, max_size=30))
+
+
+@settings(max_examples=300)
+@given(distributions_and_draws())
+def test_bisect_matches_linear_scan(case):
+    distribution, us = case
+    spec = ReservoirSpec(core_size=4, q=2, samples=len(us), trials=1, seed=0,
+                         distribution=distribution)
+    got = reservoir._draw_counts(spec, ScriptedRng(us))
+    expected = ref._draw_counts(spec, ScriptedRng(us))
+    assert list(got.items()) == list(expected.items())
+
+
+def test_bisect_on_and_past_the_bounds():
+    # Bounds 0.25, 0.25, 0.75, 0.875, 1.0: u on a bound takes the next mask
+    # with positive weight.  The bounds of ``short`` end below 1, and u at or
+    # past its last bound takes the last mask.
+    spec = ReservoirSpec(core_size=4, q=1, samples=1, trials=1, seed=0,
+                         distribution=((1, 0.25), (2, 0.0), (4, 0.5), (8, 0.125), (0, 0.125)))
+    short = ReservoirSpec(core_size=4, q=1, samples=1, trials=1, seed=0,
+                          distribution=((1, 0.25), (2, 0.0), (4, 0.5), (8, 0.25 - 1e-13)))
+    cases = [(spec, 0.0, 1), (spec, 0.25, 4), (spec, 0.75, 8), (spec, 0.875, 0), (spec, 0.999, 0),
+             (short, 1.0 - 1e-13, 8), (short, 0.9999999999999, 8)]
+    for case, u, mask in cases:
+        got = reservoir._draw_counts(case, ScriptedRng([u]))
+        assert got == ref._draw_counts(case, ScriptedRng([u])) == {mask: 1}
