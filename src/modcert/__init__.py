@@ -8,10 +8,8 @@ obstruction, with brute-force oracles and a reservoir simulator alongside.
 
 from .absorb import (
     AbsorptionProblem,
-    Applies,
     Certificate,
     DeletionCertificate,
-    DoesNotApply,
     Fails,
     Holds,
     NotTwinTail,
@@ -23,7 +21,6 @@ from .absorb import (
     certificate_to_json,
     pair_trace_sufficiency,
     rank_rich,
-    rank_rich_check,
     self_layer_check,
     solve_core_correction,
     solve_defect,

@@ -8,18 +8,19 @@ the quotient modulo constant vectors: columns are the classes of the traces
 with multiplicity at least q, the target is the class of the top-bit label.
 A solution yields a deletion certificate; inconsistency yields an even
 parity cut of the core that meets every available trace evenly but the
-defect oddly.  Both outputs are re-verified before being returned.
+defect oddly.  Each output is checked once, independently of the solve,
+before it is returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 from .errors import InternalInvariantError
 from .gf2 import BitMatrix, BitVector, Dual, Solution, pivot_columns, solve_or_dual
 from .graph import check_subset, mask_of
-from .traces import TraceTable, compute_traces, pair_trace_graph
+from .traces import TraceTable, compute_traces, pair_trace_graph, split_witness
 from .witness import (
     ModularWitness,
     TopBitLabel,
@@ -43,13 +44,9 @@ class AbsorptionProblem:
 
     @classmethod
     def build(cls, witness: ModularWitness, core) -> "AbsorptionProblem":
-        core_set = check_subset(witness.graph, core)
-        if not core_set:
-            raise ValueError("core must be nonempty")
-        if not core_set <= witness.members:
-            raise ValueError("core must lie inside the witness")
+        core_set, tail_set = split_witness(witness.graph, witness.members, core)
         label = top_bit_label(witness, core_set)
-        table = compute_traces(witness.graph, core_set, witness.members - core_set)
+        table = compute_traces(witness.graph, core_set, tail_set)
         return cls(witness=witness, core=tuple(sorted(core_set)), label=label, table=table)
 
     @property
@@ -118,7 +115,7 @@ def solve_defect(table: TraceTable, q: int, label_bits: BitVector) -> Union[Trac
     Works on trace data alone (no graph needed), so it also serves sampled
     reservoirs.  Deterministic: columns in mask order, elimination pivots on
     the lowest available row, free variables zero, q lowest realizers per
-    chosen trace.
+    chosen trace.  A cut is checked before it is returned.
     """
     if table.size < 1:
         raise ValueError("core must be nonempty")
@@ -133,64 +130,62 @@ def solve_defect(table: TraceTable, q: int, label_bits: BitVector) -> Union[Trac
         chosen = [masks[j] for j in range(len(masks)) if outcome.x.bits >> j & 1]
         deletions = tuple(table.entries[mask][:q] for mask in chosen)
         return TraceSelection(masks=tuple(chosen), deletions=deletions)
-    cut = _cut_from_dual(table, outcome, label_bits, q)
-    return cut
+    return _cut_from_dual(table, outcome, label_bits, q)
 
 
 def _cut_from_dual(table: TraceTable, dual: Dual, label_bits: BitVector, q: int) -> CutPositions:
     # Row i of the system is core position i+1 (position 0 is the base).
-    positions = {i + 1 for i in range(dual.y.length) if dual.y.bits >> i & 1}
-    if len(positions) % 2:
-        positions.add(0)
-    cut = CutPositions(positions=tuple(sorted(positions)))
-    _assert_cut_valid(table, q, label_bits, cut)
-    return cut
+    cut_mask = dual.y.bits << 1
+    if cut_mask.bit_count() % 2:
+        cut_mask |= 1
+    reason = _cut_failure(table, q, label_bits, cut_mask)
+    if reason is not None:
+        raise InternalInvariantError(reason)
+    return CutPositions(positions=tuple(p for p in range(table.size) if cut_mask >> p & 1))
 
 
-def _assert_cut_valid(table: TraceTable, q: int, label_bits: BitVector, cut: CutPositions) -> None:
-    cut_mask = 0
-    for p in cut.positions:
-        cut_mask |= 1 << p
-    if not cut.positions or len(cut.positions) % 2:
-        raise InternalInvariantError("parity cut must be nonempty and even")
+def _cut_failure(table: TraceTable, q: int, label_bits: BitVector, cut_mask: int) -> str | None:
+    """Why a set of core positions (a mask) is not a parity cut, or None if it is."""
+    size = cut_mask.bit_count()
+    if size == 0 or size % 2:
+        return "parity cut must be nonempty and even"
     if (label_bits.bits & cut_mask).bit_count() % 2 == 0:
-        raise InternalInvariantError("parity cut fails to detect the defect")
+        return "parity cut fails to detect the defect"
     for mask in table.available_masks(q):
         if (mask & cut_mask).bit_count() % 2:
-            raise InternalInvariantError("parity cut meets an available trace oddly")
+            return "parity cut meets an available trace oddly"
+    return None
 
 
 def solve_core_correction(problem: AbsorptionProblem) -> Certificate:
-    """Emit a verified deletion certificate or a verified parity cut."""
+    """Emit a deletion certificate or a parity cut, each checked once.
+
+    ``solve_defect`` checks the cut; a deletion is rechecked here by
+    physically deleting its q-tuples.
+    """
     outcome = solve_defect(problem.table, problem.q, problem.label_bits())
-    if isinstance(outcome, TraceSelection):
-        chosen = tuple(
-            (problem.table.members_of(mask), deletion)
-            for mask, deletion in zip(outcome.masks, outcome.deletions)
-        )
-        cert = DeletionCertificate(
+    if isinstance(outcome, CutPositions):
+        return ParityCut(
             q=problem.q,
             lift=problem.lift,
             core=problem.core,
-            chosen=chosen,
-            residue_achieved=None,
+            members=tuple(problem.core[p] for p in outcome.positions),
         )
-        ok, residue = _deletion_outcome(problem, cert)
-        if not ok:
-            raise InternalInvariantError("deletion certificate failed independent verification")
-        return DeletionCertificate(
-            q=cert.q, lift=cert.lift, core=cert.core, chosen=cert.chosen,
-            residue_achieved=residue,
-        )
-    cut = ParityCut(
+    chosen = tuple(
+        (problem.table.members_of(mask), deletion)
+        for mask, deletion in zip(outcome.masks, outcome.deletions)
+    )
+    cert = DeletionCertificate(
         q=problem.q,
         lift=problem.lift,
         core=problem.core,
-        members=tuple(problem.core[p] for p in outcome.positions),
+        chosen=chosen,
+        residue_achieved=None,
     )
-    if not verify_parity_cut(problem, cut.members):
-        raise InternalInvariantError("parity cut failed independent verification")
-    return cut
+    ok, residue = _deletion_outcome(problem, cert)
+    if not ok:
+        raise InternalInvariantError("deletion certificate failed independent verification")
+    return replace(cert, residue_achieved=residue)
 
 
 def _check_problem_claims(problem: AbsorptionProblem, cert: Certificate) -> None:
@@ -267,31 +262,21 @@ def verify_certificate(problem: AbsorptionProblem, cert: Certificate) -> bool:
 def verify_parity_cut(problem: AbsorptionProblem, members) -> bool:
     """Check the three cut conditions directly against the problem data."""
     cut_set = check_subset(problem.graph, members)
-    core_set = set(problem.core)
-    if not cut_set <= core_set:
+    if not cut_set <= set(problem.core):
         raise ValueError("parity cut must be a subset of the core")
-    if len(cut_set) % 2:
-        return False
-    label_sum = sum(problem.label.labels[u] for u in cut_set) % 2
-    if label_sum == 0:
-        return False
-    positions = {problem.table.position_of(u) for u in cut_set}
-    cut_mask = 0
-    for p in positions:
-        cut_mask |= 1 << p
-    for mask in problem.table.available_masks(problem.q):
-        if (mask & cut_mask).bit_count() % 2:
-            return False
-    return True
+    cut_mask = mask_of(problem.table.position_of(u) for u in cut_set)
+    return _cut_failure(problem.table, problem.q, problem.label_bits(), cut_mask) is None
 
 
 @dataclass(frozen=True)
 class Holds:
-    pass
+    """A sufficient condition holds (or applies)."""
 
 
 @dataclass(frozen=True)
 class Fails:
+    """A sufficient condition fails (or does not apply), and why."""
+
     reason: str
 
 
@@ -359,22 +344,7 @@ def rank_rich(table: TraceTable, q: int) -> tuple[bool, tuple[int, ...]]:
     return True, tuple(masks[j] for j in pivots)
 
 
-def rank_rich_check(problem: AbsorptionProblem) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-    ok, masks = rank_rich(problem.table, problem.q)
-    return ok, tuple(problem.table.members_of(mask) for mask in masks)
-
-
-@dataclass(frozen=True)
-class Applies:
-    pass
-
-
-@dataclass(frozen=True)
-class DoesNotApply:
-    reason: str
-
-
-def pair_trace_sufficiency(table: TraceTable, q: int) -> Union[Applies, DoesNotApply]:
+def pair_trace_sufficiency(table: TraceTable, q: int) -> Union[Holds, Fails]:
     """Connected heavy-pair graph, plus an odd heavy trace on even cores.
 
     A sufficient condition for the rank-rich property: summing pair traces
@@ -384,15 +354,15 @@ def pair_trace_sufficiency(table: TraceTable, q: int) -> Union[Applies, DoesNotA
     """
     view = pair_trace_graph(table, q)
     if not view.connected:
-        return DoesNotApply(reason="heavy pair-trace graph is disconnected")
+        return Fails(reason="heavy pair-trace graph is disconnected")
     if table.size % 2 == 0 and not view.has_odd_heavy_trace:
-        return DoesNotApply(reason="even core with no odd-cardinality heavy trace")
+        return Fails(reason="even core with no odd-cardinality heavy trace")
     spanning, _ = rank_rich(table, q)
     if not spanning:
         raise InternalInvariantError(
             "pair-trace condition held but the available classes do not span"
         )
-    return Applies()
+    return Holds()
 
 
 @dataclass(frozen=True)

@@ -62,8 +62,8 @@ class ReservoirSpec:
             for mask, prob in self.distribution:
                 if not 0 <= mask <= full:
                     raise ValueError(f"trace mask {mask:#x} out of range")
-                if prob < 0:
-                    raise ValueError("trace probabilities must be nonnegative")
+                if not (math.isfinite(prob) and prob >= 0):
+                    raise ValueError(f"trace probabilities must be finite and nonnegative, got {prob!r}")
                 total += prob
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"trace probabilities sum to {total!r}, not 1")

@@ -73,6 +73,17 @@ class TraceTable:
         }
 
 
+def split_witness(graph: Graph, witness, core) -> tuple[frozenset[int], frozenset[int]]:
+    """Check that ``core`` is a nonempty subset of ``witness``; return (core, tail)."""
+    core_set = check_subset(graph, core)
+    if not core_set:
+        raise ValueError("core must be nonempty")
+    witness_set = frozenset(witness)
+    if not core_set <= witness_set:
+        raise ValueError("core must be a subset of the witness")
+    return core_set, witness_set - core_set
+
+
 def compute_traces(graph: Graph, core, tail) -> TraceTable:
     """Exact trace table of ``tail`` against ``core`` (disjoint vertex sets)."""
     core_set = check_subset(graph, core)

@@ -4,9 +4,7 @@ import dataclasses
 
 from modcert.absorb import (
     AbsorptionProblem,
-    Applies,
     DeletionCertificate,
-    DoesNotApply,
     Fails,
     Holds,
     NotTwinTail,
@@ -19,7 +17,6 @@ from modcert.absorb import (
     certificate_to_json,
     pair_trace_sufficiency,
     rank_rich,
-    rank_rich_check,
     self_layer_check,
     solve_core_correction,
     solve_defect,
@@ -266,9 +263,9 @@ class TestRankRich:
             edges += [(next_id, u), (next_id + 1, u), (next_id, next_id + 1)]
             next_id += 2
         problem = build_problem(next_id, edges, 2, range(4))
-        ok, spanning = rank_rich_check(problem)
+        ok, spanning = rank_rich(problem.table, problem.q)
         assert ok
-        assert len(spanning) <= 3
+        assert len([problem.table.members_of(mask) for mask in spanning]) <= 3
 
     def test_no_traces_no_span(self):
         problem = build_problem(4, [], 2, range(4))
@@ -285,26 +282,26 @@ class TestRankRich:
 class TestPairTraceSufficiency:
     def test_path_applies(self):
         problem = path_pair_trace_problem(2)
-        assert pair_trace_sufficiency(problem.table, problem.q) == Applies()
+        assert pair_trace_sufficiency(problem.table, problem.q) == Holds()
 
     def test_disconnected(self):
         problem = realize_problem(4, 2, [0b0011, 0b1100], 0)
         outcome = pair_trace_sufficiency(problem.table, problem.q)
-        assert isinstance(outcome, DoesNotApply)
+        assert isinstance(outcome, Fails)
         assert "disconnected" in outcome.reason
 
     def test_even_core_needs_odd_trace(self):
         all_pairs = [(1 << i) | (1 << j) for i in range(4) for j in range(i + 1, 4)]
         problem = realize_problem(4, 2, all_pairs, 0)
         outcome = pair_trace_sufficiency(problem.table, problem.q)
-        assert isinstance(outcome, DoesNotApply)
+        assert isinstance(outcome, Fails)
         assert "odd" in outcome.reason
         _, matrix = trace_class_matrix(problem.table, problem.q)
         assert rank(matrix) == 2
 
     def test_applies_implies_solvable_for_every_label(self):
         problem = path_pair_trace_problem(2)
-        assert pair_trace_sufficiency(problem.table, problem.q) == Applies()
+        assert pair_trace_sufficiency(problem.table, problem.q) == Holds()
         m = len(problem.core)
         for bits in range(1 << m):
             outcome = solve_defect(problem.table, problem.q, BitVector(m, bits))

@@ -9,8 +9,8 @@ import random
 import time
 
 from modcert.absorb import (
-    Applies,
     DeletionCertificate,
+    Holds,
     TraceSelection,
     pair_trace_sufficiency,
     rank_rich,
@@ -101,7 +101,7 @@ def test_criterion_3_pair_trace_path_golden():
 
 
 def test_criterion_4_twin_pair_lift_golden():
-    from modcert.absorb import Holds, all_tail_identity_check
+    from modcert.absorb import all_tail_identity_check
 
     problem, _blocks = twin_pair_example()
     assert all_tail_identity_check(problem) == Holds()
@@ -206,7 +206,7 @@ def test_criterion_6_connected_pair_reservoirs():
         if problem is None:
             continue
         successes += 1
-        assert pair_trace_sufficiency(problem.table, q) == Applies()
+        assert pair_trace_sufficiency(problem.table, q) == Holds()
         spanning, subset = rank_rich(problem.table, q)
         assert spanning and len(subset) <= m - 1
         for bits in range(1 << m):

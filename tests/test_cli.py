@@ -123,6 +123,71 @@ class TestAbsorb:
         assert "not 2-modular" in err
 
 
+def _absorb_args(target, problem) -> list[str]:
+    return ["absorb", target, "--json", "--core", names(problem.core),
+            "--witness", names(sorted(problem.witness.members)), "--q", str(problem.q)]
+
+
+DELETION_PROBLEM = path_pair_trace_problem(2)
+CUT_PROBLEM = realize_problem(4, 2, [0b0011, 0b1100], 0b0001)
+
+
+class TestAbsorbChecksOnce:
+    @pytest.mark.parametrize("problem, expected_code, deletion_checks, cut_checks", [
+        (DELETION_PROBLEM, 0, 1, 0),
+        (CUT_PROBLEM, 1, 0, 1),
+    ])
+    def test_one_check_per_emitted_certificate(self, tmp_path, capsys, monkeypatch,
+                                               problem, expected_code, deletion_checks, cut_checks):
+        import modcert.absorb
+
+        # The public cut check counts too: the solve must not call it on top.
+        calls = {"_deletion_outcome": 0, "_cut_failure": 0, "verify_parity_cut": 0}
+        for name in calls:
+            real = getattr(modcert.absorb, name, None)
+            if real is None:
+                continue
+
+            def spy(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(modcert.absorb, name, spy)
+        code, out, err = run_cli(capsys, _absorb_args(write_graph(tmp_path, problem.graph), problem))
+        assert code == expected_code, err
+        assert json.loads(out)["verified"] is True
+        assert calls == {"_deletion_outcome": deletion_checks, "_cut_failure": cut_checks,
+                         "verify_parity_cut": 0}
+
+    @pytest.mark.parametrize("problem, outcome_type, field, message", [
+        (DELETION_PROBLEM, "Solution", "x", "deletion certificate failed independent verification"),
+        (CUT_PROBLEM, "Dual", "y", "parity cut fails to detect the defect"),
+    ])
+    def test_wrong_solve_exit_three(self, tmp_path, capsys, monkeypatch,
+                                    problem, outcome_type, field, message):
+        import dataclasses
+
+        import modcert.absorb
+        from modcert.gf2 import BitVector
+
+        real = modcert.absorb.solve_or_dual
+
+        def flipped(matrix, target):
+            outcome = real(matrix, target)
+            assert type(outcome).__name__ == outcome_type
+            # The last coordinate: in the deletion case it is a trace of nonzero class.
+            vector = getattr(outcome, field)
+            flipped_bits = vector.bits ^ 1 << (vector.length - 1)
+            return dataclasses.replace(outcome, **{field: BitVector(vector.length, flipped_bits)})
+
+        monkeypatch.setattr(modcert.absorb, "solve_or_dual", flipped)
+        code, out, err = run_cli(capsys, _absorb_args(write_graph(tmp_path, problem.graph), problem))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("internal error: ")
+        assert message in err
+
+
 class TestAnalysisCommands:
     def test_check_modular(self, tmp_path, capsys):
         target = write_graph(tmp_path, cycle(5))
@@ -245,6 +310,34 @@ class TestLadderBudget:
         assert code == 0
         # 2 * 3 * prod_{j=2..4} (2 * 2^j) * 2^5 = 6 * (8*16*32) * 32.
         assert payload["budget"] == pytest.approx(6 * 8 * 16 * 32 * 32)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--C", "nan", "--C must be finite"),
+        ("--a", "inf", "--a must be finite"),
+        ("--C0", "-inf", "--C0 must be finite"),
+        ("--C", "0", "must be positive"),
+        ("--C0", "-1", "must be positive"),
+        ("--r", "-5", "--r must be nonnegative"),
+        ("--a", "-1e308", "overflows"),
+    ])
+    def test_bad_numbers_exit_two(self, capsys, flag, value, message):
+        argv = {"--C": "1", "--a": "1", "--C0": "1", "--r": "3"}
+        argv[flag] = value
+        code, out, err = run_cli(capsys, ["ladder-budget", "--json",
+                                          *(f"{key}={number}" for key, number in argv.items())])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+    def test_budget_beyond_float_range_is_null(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "ladder-budget", "--json", "--C", "2", "--a", "100", "--C0", "1", "--r", "10",
+        ])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["budget"] is None
+        assert payload["log2"] == 1.0 + 10 + 8 * 1.0 + sum(range(2, 10)) * 100.0
+        assert "Infinity" not in out and "NaN" not in out
 
 
 class TestVerifyCert:

@@ -26,6 +26,13 @@ class TestSpec:
             ReservoirSpec(core_size=2, q=2, samples=5, trials=1, seed=0,
                           distribution=((0b01, 0.6), (0b10, 0.6)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        # A NaN sum compares false against the 1e-12 tolerance, so it needs its own check.
+        with pytest.raises(ValueError, match="finite"):
+            ReservoirSpec(core_size=2, q=1, samples=5, trials=2, seed=0,
+                          distribution=((1, bad), (2, 0.5)))
+
     def test_explicit_distribution_accepted(self):
         spec = ReservoirSpec(core_size=2, q=2, samples=5, trials=1, seed=0,
                              distribution=((0b01, 0.5), (0b10, 0.5)))
