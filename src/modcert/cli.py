@@ -274,9 +274,13 @@ def _cmd_ladder_budget(args) -> int:
         raise ValueError(f"--C and --C0 must be positive, got {args.C} and {args.C0}")
     if args.r < 0:
         raise ValueError(f"--r must be nonnegative, got {args.r}")
-    log2 = 1.0 + math.log2(args.C0) + args.r
-    for j in range(2, args.r):
-        log2 += math.log2(args.C) + j * args.a
+    try:
+        log2 = 1.0 + math.log2(args.C0) + args.r
+        if args.r > 2:
+            # The sum over j = 2..r-1 of log2(C) + j*a, with an exact triangular number.
+            log2 += (args.r - 2) * math.log2(args.C) + args.a * ((args.r - 1) * args.r // 2 - 1)
+    except OverflowError:
+        log2 = math.inf
     if not math.isfinite(log2):
         raise ValueError("the budget's log2 overflows a float")
     # Past 2**1020 the budget itself has no float; log2 still says how big it is.

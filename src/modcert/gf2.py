@@ -1,22 +1,40 @@
 """Dense GF(2) vectors and matrices with certificate-producing elimination.
 
 Vectors and matrix rows are bit-packed into Python integers, so row updates
-are single XORs.  One forward elimination serves every caller: it packs the
-target bit above the columns of each row, keeps rows bucketed by their lowest
-set bit, and pivots on the lowest-index row of each column's bucket.  The
-solver is the workhorse of the whole package: it either solves M x = t, by
+are single XORs.  One forward elimination, ``_eliminate``, serves every
+caller, in two phases.  While at least ``_CUTOVER`` rows are unpivoted it
+runs the Method of Four Russians (as in M4RI; Albrecht, Bard and Hart,
+arXiv:0811.1714): it takes the columns in blocks of ``_BLOCK``, finds the
+block's pivots, tabulates every XOR combination of them by block slice, and
+clears the block from each other row with one lookup and one XOR.  The
+columns after that, and every small matrix, go through buckets keyed by
+each row's lowest set bit, pivoting on the lowest-index row of each column's
+bucket.  Either way a row is only ever combined with pivot rows of lower
+index, so the pivot rows are the greedy lowest-index row basis, and every
+result equals that of Gauss-Jordan elimination with the lowest-index pivot
+rule.
+
+The solver is the workhorse of the whole package: it packs the target bit
+above the columns of each row and either solves M x = t, by
 back-substitution with free variables 0, or returns an explicit
 inconsistency functional y with y^T M = 0 and y^T t = 1.  The dual is read
 off a second elimination run on rows that also carry the identity, done only
-when the system turns out inconsistent.  The lowest-index pivot rule makes
-every downstream certificate reproducible byte for byte.  Dimensions have no
-upper limit beyond memory.
+when the system turns out inconsistent.  The fixed pivot basis makes every
+downstream certificate reproducible byte for byte.  Dimensions have no upper
+limit beyond memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
 from typing import Iterable, Sequence, Union
+
+
+# Four Russians block width, and the fewest active rows worth a 2^k table:
+# below that many rows the bucket phase does the whole elimination.
+_BLOCK = 8
+_CUTOVER = 64
 
 
 def _check_dim(value: int, what: str) -> int:
@@ -94,14 +112,6 @@ class BitMatrix:
             if not 0 <= r < bound:
                 raise ValueError("row bits outside the declared column count")
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -130,26 +140,93 @@ def mat_vec(m: BitMatrix, x: BitVector) -> BitVector:
     return BitVector(m.rows, bits)
 
 
+def _slices(rows: list[int], c: int, mask: int) -> list[int]:
+    """``(row >> c) & mask`` of each row; a function of its own, so ``_eliminate`` has no cells."""
+    return [r >> c & mask for r in rows]
+
+
 def _eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], list[tuple[int, int]], list[int]]:
     """Forward elimination of packed rows over their low ``cols`` bits.
 
-    Bits at ``cols`` and above ride along unpivoted.  Rows wait in buckets
-    keyed by their lowest set bit; once the columns below j are done, no
-    unpivoted row has a bit below j, so the pivot of column j is the
-    lowest-index row in bucket j, and only that bucket's rows are touched.
-    Unpivoted rows change exactly as under Gauss-Jordan elimination with the
-    same pivot rule.  Returns the reduced rows, the (column, row) pivots in
-    column order, and the rows left with no column bit and bit ``cols`` set.
+    Bits at ``cols`` and above ride along unpivoted.  At every step the
+    unpivoted ("active") rows have no bit below the current column c.
+
+    Block phase, while at least ``_CUTOVER`` rows are active: the next
+    ``_BLOCK`` columns are one block.  Active rows are scanned in index order
+    on their block slices ``(row >> c) & mask``.  A row becomes a pivot when
+    its slice lies outside the span of the earlier pivots' slices, and the
+    table of the 2^r XOR combinations of the pivot rows, keyed by slice,
+    doubles with each pivot.  Every other active row is cleared of the block
+    with one lookup and one XOR.  The pivot rows are stored in echelon form,
+    each pivoting on its lowest bit in the block, for back-substitution.
+
+    Bucket phase, for the remaining columns: active rows wait in buckets
+    keyed by their lowest set bit, the pivot of column j is the lowest-index
+    row in bucket j, and only that bucket's rows are touched.
+
+    In both phases an active row is only ever combined with pivot rows of
+    lower index, so row i ends as a pivot exactly when it is independent of
+    rows 0..i-1: the pivot rows are the greedy lowest-index row basis, and
+    the pivot columns, the rank, the solution with free variables 0 and
+    every dual are the same as under one-column-at-a-time Gauss-Jordan
+    elimination with the lowest-index pivot rule.  Returns the reduced rows,
+    the (column, row) pivots in column order, and the rows left with no
+    column bit and bit ``cols`` set.
     """
     work = list(rows)
+    pivots = []
+    c = 0
+    unpivoted: Iterable[tuple[int, int]] = enumerate(work)
+    if len(work) >= _CUTOVER:
+        active = list(range(len(work)))
+        live = list(work)  # the current rows of ``active``, position for position
+        # No comprehension here: its free variables would become cells that
+        # every call creates, the many small bucket-only calls included, so
+        # map with bound methods and ``_slices`` stand in for them.
+        while len(active) >= _CUTOVER and c < cols:
+            k = min(_BLOCK, cols - c)
+            mask = (1 << k) - 1
+            slices = _slices(live, c, mask)
+            # The table holds every XOR combination of the pivot rows found so
+            # far, keyed by its slice; the pivot slices are independent, so each
+            # slice in their span has exactly one combination.
+            table = {0: 0}
+            chosen = []
+            for pos, s in enumerate(slices):
+                if s not in table:
+                    chosen.append(pos)
+                    r = live[pos]
+                    grown = list(map(s.__xor__, table))
+                    table.update(zip(grown, list(map(r.__xor__, table.values()))))
+                    if len(table) > mask:
+                        break
+            # Echelon form of the pivot rows, for back-substitution: each is
+            # cleared of the earlier pivot columns and pivots on its lowest bit.
+            echelon: list[tuple[int, int, int]] = []
+            for pos in chosen:
+                r = live[pos]
+                for bit, _, b in echelon:
+                    if r & bit:
+                        r ^= b
+                s = r >> c & mask
+                echelon.append(((s & -s) << c, active[pos], r))
+            for bit, p, r in sorted(echelon):
+                work[p] = r
+                pivots.append((bit.bit_length() - 1, p))
+            live = list(map(xor, live, map(table.__getitem__, slices)))
+            for pos in reversed(chosen):
+                del active[pos], live[pos]
+            c += k
+        for i, r in zip(active, live):
+            work[i] = r
+        unpivoted = zip(active, live)
     # The last bucket collects rows with no bit at or below ``cols``; a zero
     # row has low == -1 and lands there too.
     buckets: list[list[int]] = [[] for _ in range(cols + 2)]
-    for i, r in enumerate(work):
+    for i, r in unpivoted:
         low = (r & -r).bit_length() - 1
         buckets[low if low <= cols else -1].append(i)
-    pivots = []
-    for j in range(cols):
+    for j in range(c, cols):
         bucket = buckets[j]
         if not bucket:
             continue
@@ -169,8 +246,9 @@ def _eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], list[tuple[in
 def solve_or_dual(m: BitMatrix, t: BitVector) -> SolveResult:
     """Solve M x = t over GF(2) or produce the dual inconsistency witness.
 
-    For each column the pivot is the lowest-index row that still has a 1
-    there, so the outcome is deterministic.  Free variables are set to 0.
+    The pivot rows are the greedy lowest-index row basis, so the outcome is
+    deterministic and equals that of Gauss-Jordan elimination pivoting on the
+    lowest-index row with a 1.  Free variables are set to 0.
     The dual witness is the combination, tracked by an appended identity,
     that reduces the lowest-index inconsistent row.
     """

@@ -66,9 +66,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self.adj_masks[v]))
 
-    def neighbor_mask(self, v: int) -> int:
-        return self.adj_masks[v]
-
     def degree(self, v: int) -> int:
         return self.adj_masks[v].bit_count()
 

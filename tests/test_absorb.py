@@ -107,6 +107,35 @@ class TestSolveCoreCorrection:
         assert solve_core_correction(problem) == solve_core_correction(problem)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_deletion_certificates_keep_the_size_bound(seed):
+    # At most |U| - 1 traces and q(|U| - 1) deleted vertices.  Cores of 65 and
+    # more vertices give the quotient matrix at least 64 rows, so its solve
+    # runs the block phase of the elimination as well as the bucket phase.
+    import random
+
+    rng = random.Random(seed)
+    m = (5, 65, 80)[seed % 3]
+    q = (2, 4)[seed % 2]
+    masks = sorted({rng.getrandbits(m) | 1 for _ in range(rng.randrange(2 * m, 2 * m + 40))})
+    label = rng.getrandbits(m)
+    if seed % 4:
+        # A label in the span of the available traces: a deletion exists.
+        label = 0
+        for mask in masks:
+            if rng.random() < 0.5:
+                label ^= mask
+    problem = realize_problem(m, q, masks, label)
+    assert problem is not None
+    cert = solve_core_correction(problem)
+    if seed % 4:
+        assert isinstance(cert, DeletionCertificate)
+    if isinstance(cert, DeletionCertificate):
+        assert len(cert.chosen) <= m - 1
+        assert len(cert.deleted_vertices()) <= q * (m - 1)
+        assert all(len(deleted) == q for _, deleted in cert.chosen)
+
+
 class TestVerifyDeletionCertificate:
     def test_wrong_traces_fail(self):
         problem = path_pair_trace_problem(2)

@@ -3,10 +3,13 @@
 ``_reference_gf2`` keeps the three Gauss-Jordan loops and the column-by-column
 quotient matrices.  Results must be equal, not merely valid: the same
 ``Solution`` or the same ``Dual``, the same rank and pivot columns, and the
-same quotient matrix for every trace table and reservoir span check.
+same quotient matrix for every trace table and reservoir span check.  Systems
+with at least ``_CUTOVER`` rows run the block phase of the elimination before
+its bucket phase; smaller ones run the bucket phase alone.
 """
 
 import random
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,16 @@ from hypothesis import strategies as st
 
 import _reference_gf2 as ref
 from modcert.absorb import trace_class_matrix
-from modcert.gf2 import BitMatrix, BitVector, pivot_columns, rank, solve_or_dual
+from modcert.gf2 import (
+    _BLOCK,
+    _CUTOVER,
+    BitMatrix,
+    BitVector,
+    Dual,
+    pivot_columns,
+    rank,
+    solve_or_dual,
+)
 from modcert.reservoir import _spans
 from modcert.traces import TraceTable
 from modcert.witness import quotient_matrix
@@ -24,6 +36,18 @@ def random_rows(rows: int, cols: int, density: float, rnd: random.Random) -> tup
     return tuple(
         sum(1 << j for j in range(cols) if rnd.random() < density) for _ in range(rows)
     )
+
+
+def rows_in_span(basis: Sequence[int], rows: int, rnd: random.Random) -> tuple[int, ...]:
+    """Each row the XOR of a random subset of ``basis``."""
+    out = []
+    for _ in range(rows):
+        acc = 0
+        for b in basis:
+            if rnd.random() < 0.5:
+                acc ^= b
+        out.append(acc)
+    return tuple(out)
 
 
 def assert_same_elimination(matrix: BitMatrix, target: BitVector) -> None:
@@ -51,15 +75,9 @@ def test_dependent_rows_match_reference(rank_bound, rows, rnd):
     # Rows drawn from a small span make inconsistent targets (duals) common.
     cols = rank_bound + rnd.randrange(4)
     basis = [rnd.getrandbits(cols) for _ in range(rank_bound)]
-    row_bits = []
-    for _ in range(rows):
-        acc = 0
-        for b in basis:
-            if rnd.random() < 0.5:
-                acc ^= b
-        row_bits.append(acc)
+    row_bits = rows_in_span(basis, rows, rnd)
     target = BitVector(rows, rnd.getrandbits(rows))
-    assert_same_elimination(BitMatrix(rows, cols, tuple(row_bits)), target)
+    assert_same_elimination(BitMatrix(rows, cols, row_bits), target)
 
 
 @pytest.mark.parametrize(
@@ -75,9 +93,9 @@ def test_shapes_match_reference(rows, cols, density):
         assert_same_elimination(BitMatrix(rows, cols, row_bits), target)
 
 
-def test_dense_laplacian_matches_reference():
-    n = 300
-    rnd = random.Random(300)
+def dense_laplacian(n: int, seed: int) -> tuple[BitMatrix, int]:
+    """The mod-2 Laplacian of a seeded G(n, 1/2), and the degree parities it is solved for."""
+    rnd = random.Random(seed)
     adj = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
@@ -85,10 +103,97 @@ def test_dense_laplacian_matches_reference():
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
     parity = sum(1 << v for v in range(n) if adj[v].bit_count() & 1)
-    laplacian = BitMatrix(n, n, tuple(adj[v] | (parity & (1 << v)) for v in range(n)))
-    assert_same_elimination(laplacian, BitVector(n, parity))
-    # The same matrix with a target outside its column space gives a dual.
-    assert_same_elimination(laplacian, BitVector(n, parity ^ 1))
+    return BitMatrix(n, n, tuple(adj[v] | (parity & (1 << v)) for v in range(n))), parity
+
+
+def test_dense_laplacian_matches_reference():
+    for n in (300, 500, 1000):
+        laplacian, parity = dense_laplacian(n, n)
+        assert_same_elimination(laplacian, BitVector(n, parity))
+        # The same matrix with a target outside its column space gives a dual.
+        assert_same_elimination(laplacian, BitVector(n, parity ^ 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(60, 160),
+    st.integers(0, 100),
+    st.sampled_from((0.05, 0.3, 0.5, 0.9)),
+    st.integers(0, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_sized_systems_match_reference(rows, cols, density, span, seed):
+    # The rows are drawn from a seeded generator: drawn one by one from hypothesis,
+    # systems this large exceed its data budget.  A nonzero ``span`` draws every
+    # row from the span of that many random rows, so duals are common.
+    rnd = random.Random(seed)
+    row_bits = random_rows(span or rows, cols, density, rnd)
+    if span:
+        row_bits = rows_in_span(row_bits, rows, rnd)
+    target = BitVector(rows, rnd.getrandbits(rows))
+    assert_same_elimination(BitMatrix(rows, cols, row_bits), target)
+
+
+def rank_deficient_blocks(rows: int, rnd: random.Random) -> tuple[int, ...]:
+    """Rows over four blocks: random, all zero, rank 2 on the block, and random again.
+
+    Every third row repeats an earlier one, so duplicates meet inside a block.
+    """
+    k = _BLOCK
+    pair = (rnd.getrandbits(k), rnd.getrandbits(k))
+    out: list[int] = []
+    for i in range(rows):
+        if i % 3 == 2:
+            out.append(out[rnd.randrange(i)])
+            continue
+        low_rank = (pair[0] if rnd.random() < 0.5 else 0) ^ (pair[1] if rnd.random() < 0.5 else 0)
+        out.append(rnd.getrandbits(k) | low_rank << 2 * k | rnd.getrandbits(k) << 3 * k)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("rows", [_CUTOVER, 100, 200])
+def test_rank_deficient_blocks_match_reference(rows):
+    rnd = random.Random(rows)
+    for _ in range(5):
+        matrix = BitMatrix(rows, 4 * _BLOCK, rank_deficient_blocks(rows, rnd))
+        assert rank(matrix) < 4 * _BLOCK
+        assert_same_elimination(matrix, BitVector(rows, rnd.getrandbits(rows)))
+
+
+@pytest.mark.parametrize(
+    "cols", [_BLOCK - 1, _BLOCK + 1, 8 * _BLOCK - 1, 8 * _BLOCK + 1, 12 * _BLOCK + 1]
+)
+def test_widths_off_the_block_match_reference(cols):
+    rnd = random.Random(cols)
+    for rows in (_CUTOVER, 3 * _CUTOVER // 2):
+        for density in (0.1, 0.5):
+            row_bits = random_rows(rows, cols, density, rnd)
+            target = BitVector(rows, rnd.getrandbits(rows))
+            assert_same_elimination(BitMatrix(rows, cols, row_bits), target)
+
+
+@pytest.mark.parametrize("rows, cols", [(_CUTOVER, 20), (120, 40), (200, 8), (150, 140)])
+def test_block_phase_duals_match_reference(rows, cols):
+    # Far more rows than the rank: almost every target is inconsistent.
+    rnd = random.Random(rows * cols)
+    duals = 0
+    for _ in range(4):
+        basis = [rnd.getrandbits(cols) for _ in range(cols // 2)]
+        matrix = BitMatrix(rows, cols, rows_in_span(basis, rows, rnd))
+        target = BitVector(rows, rnd.getrandbits(rows))
+        assert_same_elimination(matrix, target)
+        duals += isinstance(solve_or_dual(matrix, target), Dual)
+    assert duals >= 3
+
+
+@pytest.mark.parametrize("rows", [_CUTOVER - 1, _CUTOVER, _CUTOVER + 1])
+@pytest.mark.parametrize("density", [0.1, 0.5])
+def test_rows_at_the_cutover_match_reference(rows, density):
+    rnd = random.Random(rows)
+    for cols in (rows - 1, rows, rows + 1, 3 * _BLOCK):
+        row_bits = random_rows(rows, cols, density, rnd)
+        target = BitVector(rows, rnd.getrandbits(rows))
+        assert_same_elimination(BitMatrix(rows, cols, row_bits), target)
 
 
 @settings(max_examples=150)
