@@ -2,17 +2,18 @@
 
 Vectors and matrix rows are bit-packed into Python integers, so row updates
 are single XORs.  One forward elimination, ``_eliminate``, serves every
-caller, in two phases.  While at least ``_CUTOVER`` rows are unpivoted it
-runs the Method of Four Russians (as in M4RI; Albrecht, Bard and Hart,
-arXiv:0811.1714): it takes the columns in blocks of ``_BLOCK``, finds the
-block's pivots, tabulates every XOR combination of them by block slice, and
-clears the block from each other row with one lookup and one XOR.  The
-columns after that, and every small matrix, go through buckets keyed by
-each row's lowest set bit, pivoting on the lowest-index row of each column's
-bucket.  Either way a row is only ever combined with pivot rows of lower
-index, so the pivot rows are the greedy lowest-index row basis, and every
-result equals that of Gauss-Jordan elimination with the lowest-index pivot
-rule.
+caller.  Unpivoted rows wait in buckets keyed by their lowest set bit, and
+the columns go in blocks of ``_BLOCK``; a block touches only the rows in its
+own buckets, the rows with a bit in it.  When those are at least
+``_CUTOVER`` rows, the block runs the Method of Four Russians (as in M4RI;
+Albrecht, Bard and Hart, arXiv:0811.1714): it finds the block's pivots,
+tabulates every XOR combination of them by block slice, and clears the block
+from each other row with one lookup and one XOR.  Otherwise it goes column
+by column, pivoting on the lowest-index row of each column's bucket; sparse
+and banded matrices, and every small one, take this path throughout.
+Either way a row is only ever combined with pivot rows of lower index, so
+the pivot rows are the greedy lowest-index row basis, and every result
+equals that of Gauss-Jordan elimination with the lowest-index pivot rule.
 
 The solver is the workhorse of the whole package: it packs the target bit
 above the columns of each row and either solves M x = t, by
@@ -27,14 +28,15 @@ limit beyond memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import xor
+from itertools import chain, compress, repeat
+from operator import and_, not_, rshift, xor
 from typing import Iterable, Sequence, Union
 
 
-# Four Russians block width, and the fewest active rows worth a 2^k table:
-# below that many rows the bucket phase does the whole elimination.
+# Four Russians block width, and the fewest rows in a block's buckets worth
+# its 2^k table; a block with fewer rows goes column by column.
 _BLOCK = 8
-_CUTOVER = 64
+_CUTOVER = 192
 
 
 def _check_dim(value: int, what: str) -> int:
@@ -140,62 +142,79 @@ def mat_vec(m: BitMatrix, x: BitVector) -> BitVector:
     return BitVector(m.rows, bits)
 
 
-def _slices(rows: list[int], c: int, mask: int) -> list[int]:
-    """``(row >> c) & mask`` of each row; a function of its own, so ``_eliminate`` has no cells."""
-    return [r >> c & mask for r in rows]
+def _settle(work: list[int], buckets: list[list[int]], ids: Iterable[int], cols: int) -> None:
+    """Append each row in ``ids`` to the bucket of its lowest set bit, as ``_eliminate`` does."""
+    for i in ids:
+        r = work[i]
+        low = (r & -r).bit_length() - 1
+        buckets[low if low <= cols else -1].append(i)
 
 
 def _eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], list[tuple[int, int]], list[int]]:
     """Forward elimination of packed rows over their low ``cols`` bits.
 
-    Bits at ``cols`` and above ride along unpivoted.  At every step the
-    unpivoted ("active") rows have no bit below the current column c.
+    Bits at ``cols`` and above ride along unpivoted.  Unpivoted rows wait in
+    buckets keyed by their lowest set bit, and the columns go in blocks
+    [c, c + k) of ``_BLOCK``.  A block touches only the rows in its buckets
+    c .. c + k - 1, and every row with a bit in the block is there.
 
-    Block phase, while at least ``_CUTOVER`` rows are active: the next
-    ``_BLOCK`` columns are one block.  Active rows are scanned in index order
-    on their block slices ``(row >> c) & mask``.  A row becomes a pivot when
-    its slice lies outside the span of the earlier pivots' slices, and the
-    table of the 2^r XOR combinations of the pivot rows, keyed by slice,
-    doubles with each pivot.  Every other active row is cleared of the block
-    with one lookup and one XOR.  The pivot rows are stored in echelon form,
-    each pivoting on its lowest bit in the block, for back-substitution.
+    Block step, when those buckets hold at least ``_CUTOVER`` rows: their
+    rows are scanned in index order on their block slices ``(row >> c) &
+    mask``.  A row becomes a pivot when its slice is not yet a key of the
+    table of the 2^r XOR combinations of the pivot rows found so far, keyed
+    by slice, and the table doubles with each pivot.  Every other row is
+    cleared of the block with one lookup and one XOR.  The cleared rows go
+    to bucket c + k as a whole, not one by one: their lowest bits are there
+    or further on, and the next block re-buckets those with no bit in it.
+    The pivot rows are stored in echelon form, each pivoting on its lowest
+    bit in the block, for back-substitution.
 
-    Bucket phase, for the remaining columns: active rows wait in buckets
-    keyed by their lowest set bit, the pivot of column j is the lowest-index
-    row in bucket j, and only that bucket's rows are touched.
+    Bucket steps, for a block with fewer rows: column by column, the pivot
+    of column j is the lowest-index row in bucket j, and only that bucket's
+    rows are touched.  A sparse or banded matrix takes this path throughout.
 
-    In both phases an active row is only ever combined with pivot rows of
-    lower index, so row i ends as a pivot exactly when it is independent of
-    rows 0..i-1: the pivot rows are the greedy lowest-index row basis, and
-    the pivot columns, the rank, the solution with free variables 0 and
-    every dual are the same as under one-column-at-a-time Gauss-Jordan
-    elimination with the lowest-index pivot rule.  Returns the reduced rows,
-    the (column, row) pivots in column order, and the rows left with no
-    column bit and bit ``cols`` set.
+    Either way a row is only ever combined with pivot rows of lower index,
+    so row i ends as a pivot exactly when it is independent of rows
+    0..i-1: the pivot rows are the greedy lowest-index row basis, and the
+    pivot columns, the rank, the solution with free variables 0 and every
+    dual are the same as under one-column-at-a-time Gauss-Jordan elimination
+    with the lowest-index pivot rule.  Returns the reduced rows, the
+    (column, row) pivots in column order, and the rows left with no column
+    bit and bit ``cols`` set.
     """
     work = list(rows)
     pivots = []
-    c = 0
-    unpivoted: Iterable[tuple[int, int]] = enumerate(work)
-    if len(work) >= _CUTOVER:
-        active = list(range(len(work)))
-        live = list(work)  # the current rows of ``active``, position for position
-        # No comprehension here: its free variables would become cells that
-        # every call creates, the many small bucket-only calls included, so
-        # map with bound methods and ``_slices`` stand in for them.
-        while len(active) >= _CUTOVER and c < cols:
-            k = min(_BLOCK, cols - c)
-            mask = (1 << k) - 1
-            slices = _slices(live, c, mask)
-            # The table holds every XOR combination of the pivot rows found so
-            # far, keyed by its slice; the pivot slices are independent, so each
-            # slice in their span has exactly one combination.
+    # The last bucket collects rows with no bit at or below ``cols``; a zero
+    # row has low == -1 and lands there too.
+    buckets: list[list[int]] = [[] for _ in range(cols + 2)]
+    for i, r in enumerate(work):
+        low = (r & -r).bit_length() - 1
+        buckets[low if low <= cols else -1].append(i)
+    # Whether bucket c may hold rows whose lowest bit lies further on, moved
+    # there by a block step.  No comprehension in this function: in it, free
+    # variables become cells that every call creates, the many small calls
+    # that never run a block step included; those take all their columns as
+    # one span.
+    ahead = False
+    blocks = len(work) >= _CUTOVER
+    span = _BLOCK if blocks else cols or 1
+    for c in range(0, cols, span):
+        stop = min(c + span, cols)
+        if blocks and sum(map(len, buckets[c:stop])) >= _CUTOVER:
+            mask = (1 << (stop - c)) - 1
+            block = sorted(chain.from_iterable(buckets[c:stop]))
+            for j in range(c, stop):
+                buckets[j] = []
+            old = list(map(work.__getitem__, block))
+            slices = list(map(rshift, map(and_, old, repeat(mask << c)), repeat(c)))
+            # Every XOR combination of the pivot rows found so far, keyed by
+            # its slice; the pivot slices are independent, so each slice in
+            # their span has exactly one combination.
             table = {0: 0}
             chosen = []
-            for pos, s in enumerate(slices):
+            for i, r, s in zip(block, old, slices):
                 if s not in table:
-                    chosen.append(pos)
-                    r = live[pos]
+                    chosen.append(i)
                     grown = list(map(s.__xor__, table))
                     table.update(zip(grown, list(map(r.__xor__, table.values()))))
                     if len(table) > mask:
@@ -203,43 +222,49 @@ def _eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], list[tuple[in
             # Echelon form of the pivot rows, for back-substitution: each is
             # cleared of the earlier pivot columns and pivots on its lowest bit.
             echelon: list[tuple[int, int, int]] = []
-            for pos in chosen:
-                r = live[pos]
+            for i in chosen:
+                r = work[i]
                 for bit, _, b in echelon:
                     if r & bit:
                         r ^= b
                 s = r >> c & mask
-                echelon.append(((s & -s) << c, active[pos], r))
+                echelon.append(((s & -s) << c, i, r))
+            for i, r in zip(block, map(xor, old, map(table.__getitem__, slices))):
+                work[i] = r
             for bit, p, r in sorted(echelon):
                 work[p] = r
                 pivots.append((bit.bit_length() - 1, p))
-            live = list(map(xor, live, map(table.__getitem__, slices)))
-            for pos in reversed(chosen):
-                del active[pos], live[pos]
-            c += k
-        for i, r in zip(active, live):
-            work[i] = r
-        unpivoted = zip(active, live)
-    # The last bucket collects rows with no bit at or below ``cols``; a zero
-    # row has low == -1 and lands there too.
-    buckets: list[list[int]] = [[] for _ in range(cols + 2)]
-    for i, r in unpivoted:
-        low = (r & -r).bit_length() - 1
-        buckets[low if low <= cols else -1].append(i)
-    for j in range(c, cols):
-        bucket = buckets[j]
-        if not bucket:
+            # Rows with no bit in the block were moved on to bucket c by the
+            # block before; the cleared ones move on in their turn.
+            _settle(work, buckets, compress(block, map(not_, slices)), cols)
+            moved = list(compress(block, slices))
+            for p in chosen:
+                moved.remove(p)
+            if stop < cols:
+                buckets[stop].extend(moved)
+                ahead = True
+            else:
+                _settle(work, buckets, moved, cols)
             continue
-        p = min(bucket)
-        pivots.append((j, p))
-        pivot_row = work[p]
-        for i in bucket:
-            if i != p:
-                r = work[i] ^ pivot_row
-                work[i] = r
-                low = (r & -r).bit_length() - 1
-                buckets[low if low <= cols else -1].append(i)
-        buckets[j] = []
+        if ahead:
+            bucket = buckets[c]
+            buckets[c] = []
+            _settle(work, buckets, bucket, cols)
+            ahead = False
+        for j in range(c, stop):
+            bucket = buckets[j]
+            if not bucket:
+                continue
+            p = min(bucket)
+            pivots.append((j, p))
+            pivot_row = work[p]
+            for i in bucket:
+                if i != p:
+                    r = work[i] ^ pivot_row
+                    work[i] = r
+                    low = (r & -r).bit_length() - 1
+                    buckets[low if low <= cols else -1].append(i)
+            buckets[j] = []
     return work, pivots, buckets[cols]
 
 

@@ -26,7 +26,7 @@ from modcert.absorb import (
     verify_deletion_certificate,
     verify_parity_cut,
 )
-from modcert.gf2 import BitVector, rank
+from modcert.gf2 import _BLOCK, _CUTOVER, BitVector, rank
 from modcert.graph import Graph
 from modcert.oracle import brute_force_absorption
 from modcert.synth import path_pair_trace_problem, realize_problem, twin_pair_example
@@ -109,13 +109,13 @@ class TestSolveCoreCorrection:
 
 @pytest.mark.parametrize("seed", range(8))
 def test_deletion_certificates_keep_the_size_bound(seed):
-    # At most |U| - 1 traces and q(|U| - 1) deleted vertices.  Cores of 65 and
-    # more vertices give the quotient matrix at least 64 rows, so its solve
-    # runs the block phase of the elimination as well as the bucket phase.
+    # At most |U| - 1 traces and q(|U| - 1) deleted vertices.  On cores of 200
+    # and 210 vertices the quotient matrix's first column block holds more than
+    # ``_CUTOVER`` rows, so its solve runs a block step of the elimination.
     import random
 
     rng = random.Random(seed)
-    m = (5, 65, 80)[seed % 3]
+    m = (5, 200, 210)[seed % 3]
     q = (2, 4)[seed % 2]
     masks = sorted({rng.getrandbits(m) | 1 for _ in range(rng.randrange(2 * m, 2 * m + 40))})
     label = rng.getrandbits(m)
@@ -127,6 +127,10 @@ def test_deletion_certificates_keep_the_size_bound(seed):
                 label ^= mask
     problem = realize_problem(m, q, masks, label)
     assert problem is not None
+    if m > 5:
+        matrix = trace_class_matrix(problem.table, q)[1]
+        first_block = (1 << min(_BLOCK, matrix.cols)) - 1
+        assert sum(1 for r in matrix.row_bits if r & first_block) >= _CUTOVER
     cert = solve_core_correction(problem)
     if seed % 4:
         assert isinstance(cert, DeletionCertificate)

@@ -3,19 +3,23 @@
 ``_reference_gf2`` keeps the three Gauss-Jordan loops and the column-by-column
 quotient matrices.  Results must be equal, not merely valid: the same
 ``Solution`` or the same ``Dual``, the same rank and pivot columns, and the
-same quotient matrix for every trace table and reservoir span check.  Systems
-with at least ``_CUTOVER`` rows run the block phase of the elimination before
-its bucket phase; smaller ones run the bucket phase alone.
+same quotient matrix for every trace table and reservoir span check.  A
+column block whose buckets hold at least ``_CUTOVER`` rows runs a Four
+Russians block step; one with fewer goes column by column.  ``first_block_rows``
+shows which cases reach a block step, and one test lowers the cut-over so
+that block steps also run on small systems.
 """
 
 import random
 from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_gf2 as ref
+from modcert import gf2
 from modcert.absorb import trace_class_matrix
 from modcert.gf2 import (
     _BLOCK,
@@ -106,9 +110,16 @@ def dense_laplacian(n: int, seed: int) -> tuple[BitMatrix, int]:
     return BitMatrix(n, n, tuple(adj[v] | (parity & (1 << v)) for v in range(n))), parity
 
 
+def first_block_rows(row_bits: Sequence[int], cols: int) -> int:
+    """Rows with a bit in the first column block: at least ``_CUTOVER`` of them run a block step."""
+    low = (1 << min(_BLOCK, cols)) - 1
+    return sum(1 for r in row_bits if r & low)
+
+
 def test_dense_laplacian_matches_reference():
     for n in (300, 500, 1000):
         laplacian, parity = dense_laplacian(n, n)
+        assert first_block_rows(laplacian.row_bits, n) >= _CUTOVER
         assert_same_elimination(laplacian, BitVector(n, parity))
         # The same matrix with a target outside its column space gives a dual.
         assert_same_elimination(laplacian, BitVector(n, parity ^ 1))
@@ -116,7 +127,7 @@ def test_dense_laplacian_matches_reference():
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(60, 160),
+    st.integers(_CUTOVER // 2, 3 * _CUTOVER // 2),
     st.integers(0, 100),
     st.sampled_from((0.05, 0.3, 0.5, 0.9)),
     st.integers(0, 40),
@@ -132,6 +143,28 @@ def test_block_sized_systems_match_reference(rows, cols, density, span, seed):
         row_bits = rows_in_span(row_bits, rows, rnd)
     target = BitVector(rows, rnd.getrandbits(rows))
     assert_same_elimination(BitMatrix(rows, cols, row_bits), target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.sampled_from((0.1, 0.3, 0.5, 0.9)),
+    st.integers(0, 12),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_steps_on_small_systems_match_reference(cutover, rows, cols, density, span, seed):
+    # With the cut-over lowered, block steps run on small systems and alternate
+    # with bucket steps: rows cleared by one block meet the next block, or the
+    # bucket steps after it, in a bucket short of their lowest bit.
+    rnd = random.Random(seed)
+    row_bits = random_rows(span or rows, cols, density, rnd)
+    if span:
+        row_bits = rows_in_span(row_bits, rows, rnd)
+    target = BitVector(rows, rnd.getrandbits(rows) if rows else 0)
+    with mock.patch.object(gf2, "_CUTOVER", cutover):
+        assert_same_elimination(BitMatrix(rows, cols, row_bits), target)
 
 
 def rank_deficient_blocks(rows: int, rnd: random.Random) -> tuple[int, ...]:
@@ -151,11 +184,12 @@ def rank_deficient_blocks(rows: int, rnd: random.Random) -> tuple[int, ...]:
     return tuple(out)
 
 
-@pytest.mark.parametrize("rows", [_CUTOVER, 100, 200])
+@pytest.mark.parametrize("rows", [_CUTOVER + 16, 2 * _CUTOVER])
 def test_rank_deficient_blocks_match_reference(rows):
     rnd = random.Random(rows)
     for _ in range(5):
         matrix = BitMatrix(rows, 4 * _BLOCK, rank_deficient_blocks(rows, rnd))
+        assert first_block_rows(matrix.row_bits, matrix.cols) >= _CUTOVER
         assert rank(matrix) < 4 * _BLOCK
         assert_same_elimination(matrix, BitVector(rows, rnd.getrandbits(rows)))
 
@@ -165,14 +199,16 @@ def test_rank_deficient_blocks_match_reference(rows):
 )
 def test_widths_off_the_block_match_reference(cols):
     rnd = random.Random(cols)
-    for rows in (_CUTOVER, 3 * _CUTOVER // 2):
+    for rows in (_CUTOVER + 16, 3 * _CUTOVER // 2):
         for density in (0.1, 0.5):
             row_bits = random_rows(rows, cols, density, rnd)
             target = BitVector(rows, rnd.getrandbits(rows))
             assert_same_elimination(BitMatrix(rows, cols, row_bits), target)
 
 
-@pytest.mark.parametrize("rows, cols", [(_CUTOVER, 20), (120, 40), (200, 8), (150, 140)])
+@pytest.mark.parametrize(
+    "rows, cols", [(_CUTOVER + 16, 20), (_CUTOVER + 50, 40), (2 * _CUTOVER, 8), (_CUTOVER + 16, 140)]
+)
 def test_block_phase_duals_match_reference(rows, cols):
     # Far more rows than the rank: almost every target is inconsistent.
     rnd = random.Random(rows * cols)
@@ -180,20 +216,26 @@ def test_block_phase_duals_match_reference(rows, cols):
     for _ in range(4):
         basis = [rnd.getrandbits(cols) for _ in range(cols // 2)]
         matrix = BitMatrix(rows, cols, rows_in_span(basis, rows, rnd))
+        assert first_block_rows(matrix.row_bits, cols) >= _CUTOVER
         target = BitVector(rows, rnd.getrandbits(rows))
         assert_same_elimination(matrix, target)
         duals += isinstance(solve_or_dual(matrix, target), Dual)
     assert duals >= 3
 
 
-@pytest.mark.parametrize("rows", [_CUTOVER - 1, _CUTOVER, _CUTOVER + 1])
+@pytest.mark.parametrize("window", [_CUTOVER - 1, _CUTOVER, _CUTOVER + 1])
 @pytest.mark.parametrize("density", [0.1, 0.5])
-def test_rows_at_the_cutover_match_reference(rows, density):
-    rnd = random.Random(rows)
-    for cols in (rows - 1, rows, rows + 1, 3 * _BLOCK):
-        row_bits = random_rows(rows, cols, density, rnd)
-        target = BitVector(rows, rnd.getrandbits(rows))
-        assert_same_elimination(BitMatrix(rows, cols, row_bits), target)
+def test_block_rows_at_the_cutover_match_reference(window, density):
+    # ``window`` rows have a bit in the first block; 40 more start after it.
+    rnd = random.Random(window)
+    for cols in (3 * _BLOCK, 3 * _BLOCK + 1, window):
+        head = [r | 1 << rnd.randrange(_BLOCK) for r in random_rows(window, cols, density, rnd)]
+        tail = [r >> _BLOCK << _BLOCK for r in random_rows(40, cols, density, rnd)]
+        row_bits = head + tail
+        rnd.shuffle(row_bits)
+        assert first_block_rows(row_bits, cols) == window
+        target = BitVector(len(row_bits), rnd.getrandbits(len(row_bits)))
+        assert_same_elimination(BitMatrix(len(row_bits), cols, tuple(row_bits)), target)
 
 
 @settings(max_examples=150)
