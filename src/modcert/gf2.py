@@ -155,16 +155,16 @@ def _eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], list[tuple[in
 
     Bits at ``cols`` and above ride along unpivoted.  Unpivoted rows wait in
     buckets keyed by their lowest set bit, and the columns go in blocks
-    [c, c + k) of ``_BLOCK``.  A block touches only the rows in its buckets
-    c .. c + k - 1, and every row with a bit in the block is there.
+    [j, j + k) of ``_BLOCK``.  A block touches only the rows in its buckets
+    j .. j + k - 1, and every row with a bit in the block is there.
 
     Block step, when those buckets hold at least ``_CUTOVER`` rows: their
-    rows are scanned in index order on their block slices ``(row >> c) &
+    rows are scanned in index order on their block slices ``(row >> j) &
     mask``.  A row becomes a pivot when its slice is not yet a key of the
     table of the 2^r XOR combinations of the pivot rows found so far, keyed
     by slice, and the table doubles with each pivot.  Every other row is
     cleared of the block with one lookup and one XOR.  The cleared rows go
-    to bucket c + k as a whole, not one by one: their lowest bits are there
+    to bucket j + k as a whole, not one by one: their lowest bits are there
     or further on, and the next block re-buckets those with no bit in it.
     The pivot rows are stored in echelon form, each pivoting on its lowest
     bit in the block, for back-substitution.
@@ -190,81 +190,82 @@ def _eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], list[tuple[in
     for i, r in enumerate(work):
         low = (r & -r).bit_length() - 1
         buckets[low if low <= cols else -1].append(i)
-    # Whether bucket c may hold rows whose lowest bit lies further on, moved
+    # Whether bucket j may hold rows whose lowest bit lies further on, moved
     # there by a block step.  No comprehension in this function: in it, free
     # variables become cells that every call creates, the many small calls
-    # that never run a block step included; those take all their columns as
-    # one span.
+    # that never run a block step included.
     ahead = False
     blocks = len(work) >= _CUTOVER
-    span = _BLOCK if blocks else cols or 1
-    for c in range(0, cols, span):
-        stop = min(c + span, cols)
-        if blocks and sum(map(len, buckets[c:stop])) >= _CUTOVER:
-            mask = (1 << (stop - c)) - 1
-            block = sorted(chain.from_iterable(buckets[c:stop]))
-            for j in range(c, stop):
-                buckets[j] = []
-            old = list(map(work.__getitem__, block))
-            slices = list(map(rshift, map(and_, old, repeat(mask << c)), repeat(c)))
-            # Every XOR combination of the pivot rows found so far, keyed by
-            # its slice; the pivot slices are independent, so each slice in
-            # their span has exactly one combination.
-            table = {0: 0}
-            chosen = []
-            for i, r, s in zip(block, old, slices):
-                if s not in table:
-                    chosen.append(i)
-                    grown = list(map(s.__xor__, table))
-                    table.update(zip(grown, list(map(r.__xor__, table.values()))))
-                    if len(table) > mask:
-                        break
-            # Echelon form of the pivot rows, for back-substitution: each is
-            # cleared of the earlier pivot columns and pivots on its lowest bit.
-            echelon: list[tuple[int, int, int]] = []
-            for i in chosen:
-                r = work[i]
-                for bit, _, b in echelon:
-                    if r & bit:
-                        r ^= b
-                s = r >> c & mask
-                echelon.append(((s & -s) << c, i, r))
-            for i, r in zip(block, map(xor, old, map(table.__getitem__, slices))):
-                work[i] = r
-            for bit, p, r in sorted(echelon):
-                work[p] = r
-                pivots.append((bit.bit_length() - 1, p))
-            # Rows with no bit in the block were moved on to bucket c by the
-            # block before; the cleared ones move on in their turn.
-            _settle(work, buckets, compress(block, map(not_, slices)), cols)
-            moved = list(compress(block, slices))
-            for p in chosen:
-                moved.remove(p)
-            if stop < cols:
-                buckets[stop].extend(moved)
-                ahead = True
-            else:
-                _settle(work, buckets, moved, cols)
-            continue
-        if ahead:
-            bucket = buckets[c]
-            buckets[c] = []
-            _settle(work, buckets, bucket, cols)
-            ahead = False
-        for j in range(c, stop):
-            bucket = buckets[j]
-            if not bucket:
-                continue
-            p = min(bucket)
-            pivots.append((j, p))
-            pivot_row = work[p]
-            for i in bucket:
-                if i != p:
-                    r = work[i] ^ pivot_row
+    for j in range(cols):
+        if blocks and not j % _BLOCK:
+            stop = min(j + _BLOCK, cols)
+            if sum(map(len, buckets[j:stop])) >= _CUTOVER:
+                mask = (1 << (stop - j)) - 1
+                block = sorted(chain.from_iterable(buckets[j:stop]))
+                # The block's buckets stay empty, so the loop passes over its
+                # other columns.
+                for bucket in buckets[j:stop]:
+                    bucket.clear()
+                old = list(map(work.__getitem__, block))
+                slices = list(map(rshift, map(and_, old, repeat(mask << j)), repeat(j)))
+                # Every XOR combination of the pivot rows found so far, keyed
+                # by its slice; the pivot slices are independent, so each
+                # slice in their span has exactly one combination.
+                table = {0: 0}
+                chosen = []
+                for i, r, s in zip(block, old, slices):
+                    if s not in table:
+                        chosen.append(i)
+                        grown = list(map(s.__xor__, table))
+                        table.update(zip(grown, list(map(r.__xor__, table.values()))))
+                        if len(table) > mask:
+                            break
+                # Echelon form of the pivot rows, for back-substitution: each
+                # is cleared of the earlier pivot columns and pivots on its
+                # lowest bit.
+                echelon: list[tuple[int, int, int]] = []
+                for i in chosen:
+                    r = work[i]
+                    for bit, _, b in echelon:
+                        if r & bit:
+                            r ^= b
+                    s = r >> j & mask
+                    echelon.append(((s & -s) << j, i, r))
+                for i, r in zip(block, map(xor, old, map(table.__getitem__, slices))):
                     work[i] = r
-                    low = (r & -r).bit_length() - 1
-                    buckets[low if low <= cols else -1].append(i)
-            buckets[j] = []
+                for bit, p, r in sorted(echelon):
+                    work[p] = r
+                    pivots.append((bit.bit_length() - 1, p))
+                # Rows with no bit in the block were moved on to bucket j by
+                # the block before; the cleared ones move on in their turn.
+                _settle(work, buckets, compress(block, map(not_, slices)), cols)
+                moved = list(compress(block, slices))
+                for p in chosen:
+                    moved.remove(p)
+                if stop < cols:
+                    buckets[stop].extend(moved)
+                    ahead = True
+                else:
+                    _settle(work, buckets, moved, cols)
+                continue
+            if ahead:
+                bucket = buckets[j]
+                buckets[j] = []
+                _settle(work, buckets, bucket, cols)
+                ahead = False
+        bucket = buckets[j]
+        if not bucket:
+            continue
+        p = min(bucket)
+        pivots.append((j, p))
+        pivot_row = work[p]
+        for i in bucket:
+            if i != p:
+                r = work[i] ^ pivot_row
+                work[i] = r
+                low = (r & -r).bit_length() - 1
+                buckets[low if low <= cols else -1].append(i)
+        buckets[j] = []
     return work, pivots, buckets[cols]
 
 
