@@ -4,7 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Tolerances and budgets are pinned here and nowhere else.
 """
 
+import json
 import math
+import os
 import random
 import time
 
@@ -276,15 +278,19 @@ def test_criterion_9_affine_lift_equivalence():
     _report(9, f"affine lift equivalence ({checked} mod-2 + {higher} mod-4 instances)")
 
 
-def test_criterion_10_determinism(tmp_path, capsys):
+def _write_graph_file(path, graph) -> str:
+    lines = [f"n {graph.n}"] + [f"{u} {v}" for u, v in graph.edges()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _criterion_10_invocations(tmp_path, capsys) -> list[list[str]]:
+    """One ``--json`` run of every subcommand on the path pair-trace instance."""
     problem = path_pair_trace_problem(2)
-    graph_file = tmp_path / "path.txt"
-    lines = [f"n {problem.graph.n}"]
-    lines += [f"{u} {v}" for u, v in problem.graph.edges()]
-    graph_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    graph_file = _write_graph_file(tmp_path / "path.txt", problem.graph)
     core = ",".join(str(v) for v in problem.core)
     witness = ",".join(str(v) for v in sorted(problem.witness.members))
-    base = [str(graph_file), "--json"]
+    base = [graph_file, "--json"]
     sets = ["--core", core, "--witness", witness]
     q = ["--q", "2"]
     invocations = [
@@ -305,7 +311,11 @@ def test_criterion_10_determinism(tmp_path, capsys):
     main(["absorb"] + base + sets + q)
     cert_file.write_text(capsys.readouterr().out, encoding="utf-8")
     invocations.append(["verify-cert"] + base + sets + q + ["--certificate", str(cert_file)])
-    for argv in invocations:
+    return invocations
+
+
+def test_criterion_10_determinism(tmp_path, capsys):
+    for argv in _criterion_10_invocations(tmp_path, capsys):
         first_code = main(argv)
         first_out = capsys.readouterr().out
         second_code = main(argv)
@@ -314,3 +324,25 @@ def test_criterion_10_determinism(tmp_path, capsys):
         assert first_out == second_out, f"nondeterministic output for {argv[0]}"
         assert first_out.strip(), f"empty output for {argv[0]}"
     _report(10, "determinism across all subcommands")
+
+
+GOLDEN_STDOUT = os.path.join(os.path.dirname(__file__), "golden_cli_stdout.json")
+
+
+def test_criterion_10_golden_stdout(tmp_path, capsys):
+    """Criterion 10's runs, plus a pair-trace run whose sufficiency fails,
+    keep the exact stdout and exit code recorded in ``golden_cli_stdout.json``."""
+    invocations = _criterion_10_invocations(tmp_path, capsys)
+    twin, _ = twin_pair_example()
+    twin_file = _write_graph_file(tmp_path / "twin.txt", twin.graph)
+    invocations.append(["pair-trace", twin_file, "--json", "--core", "0,1,2,3",
+                        "--witness", "0,1,2,3,4,5,6,7", "--q", "2"])
+    runs = []
+    for argv in invocations:
+        code = main(argv)
+        runs.append({"command": argv[0], "exit": code, "stdout": capsys.readouterr().out})
+    with open(GOLDEN_STDOUT, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert [run["command"] for run in runs] == [run["command"] for run in golden]
+    for run, want in zip(runs, golden):
+        assert run == want, f"{run['command']}: stdout or exit code changed"
