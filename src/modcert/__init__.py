@@ -10,11 +10,7 @@ from .absorb import (
     AbsorptionProblem,
     Certificate,
     DeletionCertificate,
-    Fails,
-    Holds,
-    NotTwinTail,
     ParityCut,
-    TwinTailBlocks,
     all_tail_identity_check,
     basis_tail_check,
     certificate_from_json,
@@ -30,16 +26,13 @@ from .absorb import (
     verify_parity_cut,
 )
 from .errors import InternalInvariantError, ParseError
-from .gf2 import BitMatrix, BitVector, Dual, Solution, dot, mat_vec, rank, solve_or_dual
+from .gf2 import BitMatrix, BitVector, Dual, Solution, mat_vec, rank, solve_or_dual
 from .graph import Graph, induced_degrees, is_regular, load_graph
 from .oracle import brute_force_absorption, brute_force_alpha_omega, brute_force_max_regular
 from .parity import parity_partition, two_modular_part, verify_even_partition
 from .reservoir import AvailabilityReport, ReservoirSpec, estimate_availability, sample_reservoir
 from .synth import path_pair_trace_problem, realize_problem, twin_pair_example
 from .traces import (
-    DivisibilityFails,
-    NotConstantModulo,
-    QuotientClass,
     TraceTable,
     complement_difference,
     compute_traces,

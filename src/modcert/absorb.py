@@ -124,7 +124,7 @@ def solve_defect(table: TraceTable, q: int, label_bits: BitVector) -> Union[Trac
     if q < 1 or q & (q - 1):
         raise ValueError(f"q must be a positive power of two, got {q}")
     masks, matrix = trace_class_matrix(table, q)
-    target = quotient_coords(label_bits, 0)
+    target = quotient_coords(label_bits)
     outcome = solve_or_dual(matrix, target)
     if isinstance(outcome, Solution):
         chosen = [masks[j] for j in range(len(masks)) if outcome.x.bits >> j & 1]
@@ -268,45 +268,32 @@ def verify_parity_cut(problem: AbsorptionProblem, members) -> bool:
     return _cut_failure(problem.table, problem.q, problem.label_bits(), cut_mask) is None
 
 
-@dataclass(frozen=True)
-class Holds:
-    """A sufficient condition holds (or applies)."""
+def all_tail_identity_check(problem: AbsorptionProblem) -> str | None:
+    """Why the all-tail identity fails, or None when it holds.
 
-
-@dataclass(frozen=True)
-class Fails:
-    """A sufficient condition fails (or does not apply), and why."""
-
-    reason: str
-
-
-def all_tail_identity_check(problem: AbsorptionProblem) -> Union[Holds, Fails]:
-    """Does deleting the whole tail leave exactly the core synchronized mod 2q?
-
-    Requires every multiplicity divisible by q, and the parity-weighted sum
-    of all trace classes to equal the top-bit defect.  When it holds, the
-    conclusion is re-derived by direct degree recomputation on the bare core.
+    It holds when every multiplicity is divisible by q and the
+    parity-weighted sum of all trace classes equals the top-bit defect;
+    deleting the whole tail then leaves exactly the core synchronized mod
+    2q, which is re-derived by direct degree recomputation on the bare core.
     """
     q = problem.q
     for mask in problem.table.masks():
         if problem.table.count(mask) % q:
-            return Fails(
-                reason=f"multiplicity of trace {problem.table.members_of(mask)} is not divisible by q"
-            )
+            return f"multiplicity of trace {problem.table.members_of(mask)} is not divisible by q"
     acc = 0
     for mask in problem.table.masks():
         if (problem.table.count(mask) // q) % 2:
             acc ^= mask
-    defect = quotient_coords(problem.label_bits(), 0)
-    achieved = quotient_coords(BitVector(problem.table.size, acc), 0)
+    defect = quotient_coords(problem.label_bits())
+    achieved = quotient_coords(BitVector(problem.table.size, acc))
     if defect != achieved:
-        return Fails(reason="block-parity sum of trace classes misses the top-bit defect")
+        return "block-parity sum of trace classes misses the top-bit defect"
     check = is_q_modular(problem.graph, problem.core, 2 * q)
     if not check.modular:
         raise InternalInvariantError(
             "all-tail identity held but the bare core is not 2q-modular"
         )
-    return Holds()
+    return None
 
 
 def self_layer_check(problem: AbsorptionProblem, cert: DeletionCertificate) -> tuple[int, ...]:
@@ -344,61 +331,55 @@ def rank_rich(table: TraceTable, q: int) -> tuple[bool, tuple[int, ...]]:
     return True, tuple(masks[j] for j in pivots)
 
 
-def pair_trace_sufficiency(table: TraceTable, q: int) -> Union[Holds, Fails]:
-    """Connected heavy-pair graph, plus an odd heavy trace on even cores.
+def pair_trace_sufficiency(table: TraceTable, q: int) -> str | None:
+    """Why the pair-trace condition fails, or None when it holds.
 
-    A sufficient condition for the rank-rich property: summing pair traces
-    along paths produces every even-weight vector, and the odd trace leaves
-    the even-weight subspace when the core has even size.  The implication
-    is asserted whenever the condition applies.
+    The condition is a connected heavy-pair graph, plus an odd heavy trace
+    on even cores.  It is sufficient for the rank-rich property:
+    summing pair traces along paths produces every even-weight vector, and
+    the odd trace leaves the even-weight subspace when the core has even
+    size.  The implication is asserted whenever the condition holds.
     """
     view = pair_trace_graph(table, q)
     if not view.connected:
-        return Fails(reason="heavy pair-trace graph is disconnected")
+        return "heavy pair-trace graph is disconnected"
     if table.size % 2 == 0 and not view.has_odd_heavy_trace:
-        return Fails(reason="even core with no odd-cardinality heavy trace")
+        return "even core with no odd-cardinality heavy trace"
     spanning, _ = rank_rich(table, q)
     if not spanning:
         raise InternalInvariantError(
             "pair-trace condition held but the available classes do not span"
         )
-    return Holds()
+    return None
 
 
-@dataclass(frozen=True)
-class TwinTailBlocks:
-    """Tail partitioned into size-q blocks of identical trace, lowest ids first."""
+def twin_tail_decompose(table: TraceTable, q: int) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
+    """The tail as size-q ``(mask, members)`` blocks of one trace each, lowest ids first.
 
-    blocks: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
-class NotTwinTail:
-    mask: int
-
-
-def twin_tail_decompose(table: TraceTable, q: int) -> Union[TwinTailBlocks, NotTwinTail]:
-    """Group realizers into q-blocks per trace when every multiplicity allows it."""
+    None when some trace's multiplicity is not divisible by q.
+    """
     if q < 1 or q & (q - 1):
         raise ValueError(f"q must be a positive power of two, got {q}")
     for mask in table.masks():
         if table.count(mask) % q:
-            return NotTwinTail(mask=mask)
+            return None
     blocks = []
     for mask in table.masks():
         realizers = table.entries[mask]
         for start in range(0, len(realizers), q):
             blocks.append((mask, realizers[start:start + q]))
-    return TwinTailBlocks(blocks=tuple(blocks))
+    return tuple(blocks)
 
 
 def basis_tail_check(
     problem: AbsorptionProblem,
-    blocks: TwinTailBlocks,
+    blocks: tuple[tuple[int, tuple[int, ...]], ...],
     base_vertex: int | None = None,
-) -> Union[Holds, Fails]:
-    """Singleton-block parity pattern sufficient for the all-tail identity.
+) -> str | None:
+    """Why a singleton-block parity pattern fails, or None when it holds.
 
+    The pattern is sufficient for the all-tail identity.  ``blocks`` are
+    ``(mask, members)`` pairs, as ``twin_tail_decompose`` returns them.
     Condition 1: for each core vertex u other than the base, the number of
     blocks with trace {u} has the parity of label(u) + label(base).
     Condition 2: all remaining block traces cancel in the quotient.
@@ -414,7 +395,7 @@ def basis_tail_check(
     labels = problem.label.labels
     singleton_counts = {pos: 0 for pos in range(len(core))}
     remainder_acc = 0
-    for mask, _members in blocks.blocks:
+    for mask, _members in blocks:
         if mask.bit_count() == 1 and mask != 1 << u0_pos:
             singleton_counts[mask.bit_length() - 1] += 1
         else:
@@ -424,25 +405,23 @@ def basis_tail_check(
             continue
         expected = (labels[u] + labels[u0]) % 2
         if singleton_counts[pos] % 2 != expected:
-            return Fails(
-                reason=f"singleton-block count at vertex {u} has the wrong parity"
-            )
+            return f"singleton-block count at vertex {u} has the wrong parity"
     full = (1 << len(core)) - 1
     if remainder_acc not in (0, full):
-        return Fails(reason="remaining block traces do not cancel in the quotient")
+        return "remaining block traces do not cancel in the quotient"
     check = is_q_modular(problem.graph, problem.core, 2 * problem.q)
     if not check.modular:
         raise InternalInvariantError(
             "basis-tail conditions held but the bare core is not 2q-modular"
         )
-    return Holds()
+    return None
 
 
-def _validate_blocks(problem: AbsorptionProblem, blocks: TwinTailBlocks) -> None:
+def _validate_blocks(problem: AbsorptionProblem, blocks) -> None:
     q = problem.q
     seen: set[int] = set()
     tail = set(problem.table.tail_vertices())
-    for mask, members in blocks.blocks:
+    for mask, members in blocks:
         if len(members) != q:
             raise ValueError(f"block {members} does not have size q={q}")
         for v in members:

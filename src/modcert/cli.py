@@ -19,7 +19,6 @@ from typing import Sequence
 from .absorb import (
     AbsorptionProblem,
     DeletionCertificate,
-    Holds,
     certificate_from_json,
     certificate_to_json,
     pair_trace_sufficiency,
@@ -32,7 +31,6 @@ from .oracle import brute_force_absorption, brute_force_max_regular
 from .parity import parity_partition, verify_even_partition
 from .reservoir import RNG_ALGORITHM, ReservoirSpec, estimate_availability
 from .traces import (
-    NotConstantModulo,
     compute_traces,
     next_bit_obstruction,
     neighborhood_diversity,
@@ -148,15 +146,15 @@ def _cmd_next_bit(args) -> int:
     results = []
     cap = max(rho).bit_length() + 2 if rho else 2
     for m in range(cap + 1):
-        outcome = next_bit_obstruction(rho, m, core=table.core)
-        if isinstance(outcome, NotConstantModulo):
+        theta = next_bit_obstruction(rho, m)
+        if theta is None:
             results.append({"m": m, "defined": False, "theta": None, "zero": None})
             break
         results.append({
             "m": m,
             "defined": True,
-            "theta": outcome.coords.to_tuple(),
-            "zero": outcome.is_zero(),
+            "theta": theta.to_tuple(),
+            "zero": theta.is_zero(),
         })
     payload = {
         "command": "next-bit",
@@ -178,25 +176,23 @@ def _cmd_next_bit(args) -> int:
 def _cmd_pair_trace(args) -> int:
     graph = _load(args)
     table = _core_table(args, graph)
-    view = pair_trace_graph(table, args.q, name_of=graph.name_of)
-    outcome = pair_trace_sufficiency(table, args.q)
-    applies = isinstance(outcome, Holds)
+    view = pair_trace_graph(table, args.q)
+    reason = pair_trace_sufficiency(table, args.q)
+    applies = reason is None
     payload = {
         "command": "pair-trace",
         "q": args.q,
         "core": [graph.name_of(v) for v in table.core],
-        "edges": [
-            [view.graph.name_of(a), view.graph.name_of(b)] for a, b in view.graph.edges()
-        ],
+        "edges": [[graph.name_of(a), graph.name_of(b)] for a, b in view.edges],
         "connected": view.connected,
         "odd_heavy_trace": view.has_odd_heavy_trace,
         "applies": applies,
-        "reason": None if applies else outcome.reason,
+        "reason": reason,
     }
     _emit(args, payload, [
         f"heavy pair edges: {payload['edges']}",
         f"connected: {view.connected}, odd heavy trace: {view.has_odd_heavy_trace}",
-        f"sufficiency applies: {applies}" + ("" if applies else f" ({outcome.reason})"),
+        f"sufficiency applies: {applies}" + ("" if applies else f" ({reason})"),
     ])
     return 0
 

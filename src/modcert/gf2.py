@@ -67,16 +67,8 @@ class BitVector:
             length += 1
         return cls(length, bits)
 
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(f"index {i} out of range for length {self.length}")
-        return self.bits >> i & 1
-
     def to_tuple(self) -> tuple[int, ...]:
         return tuple(self.bits >> i & 1 for i in range(self.length))
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
 
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -88,12 +80,6 @@ class BitVector:
 
     def __str__(self) -> str:
         return "".join(str(self.bits >> i & 1) for i in range(self.length))
-
-
-def dot(x: BitVector, y: BitVector) -> int:
-    if x.length != y.length:
-        raise ValueError(f"length mismatch: {x.length} vs {y.length}")
-    return (x.bits & y.bits).bit_count() & 1
 
 
 @dataclass(frozen=True)

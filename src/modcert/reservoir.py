@@ -145,8 +145,10 @@ def _draw_counts(spec: ReservoirSpec, rng: random.Random) -> Counter:
 def sample_reservoir(spec: ReservoirSpec, trial: int = 0) -> TraceTable:
     """One sampled tail as a trace table over a synthetic core 0..m-1.
 
-    Realizer ids start at m and follow draw order, so the table is a
-    deterministic function of (spec, trial).
+    Realizer ids start at m.  Uniform samples take them in draw order; with
+    an explicit distribution the draws are counted first, so the ids are
+    grouped by ascending mask.  Either way the table is a deterministic
+    function of (spec, trial).
     """
     rng = trial_rng(spec.seed, trial)
     m = spec.core_size

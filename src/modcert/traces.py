@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .errors import InternalInvariantError
 from .gf2 import BitVector
@@ -120,39 +120,6 @@ def tail_degrees(table: TraceTable) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class QuotientClass:
-    """An element of GF(2)^core modulo the constant line.
-
-    ``coords`` are relative to the first core position, so the zero class is
-    exactly the constant vectors.
-    """
-
-    core: tuple[int, ...]
-    coords: BitVector
-
-    @classmethod
-    def from_bits(cls, core: tuple[int, ...], bits: Sequence[int]) -> "QuotientClass":
-        vec = BitVector.from_bits(b & 1 for b in bits)
-        if vec.length != len(core):
-            raise ValueError("bit count does not match core size")
-        return cls(core=core, coords=quotient_coords(vec, 0))
-
-    def is_zero(self) -> bool:
-        return self.coords.is_zero()
-
-
-@dataclass(frozen=True)
-class NotConstantModulo:
-    modulus: int
-
-
-@dataclass(frozen=True)
-class DivisibilityFails:
-    modulus: int
-    mask: int
-
-
 def _orbit_representatives(table: TraceTable) -> list[int]:
     """One mask per complement orbit, excluding {empty, full}; smaller mask wins."""
     full = (1 << table.size) - 1
@@ -164,12 +131,13 @@ def _orbit_representatives(table: TraceTable) -> list[int]:
     return sorted(reps)
 
 
-def complement_difference(table: TraceTable) -> tuple[tuple[int, ...], QuotientClass]:
+def complement_difference(table: TraceTable) -> tuple[tuple[int, ...], BitVector]:
     """Integer representative of the tail-count class modulo constants.
 
     Sums (n_B - n_{complement}) over one representative per complement orbit.
     The result agrees with the tail-degree vector up to a constant vector,
-    which is asserted, and its mod-2 quotient class is returned alongside.
+    which is asserted, and the quotient coordinates of its parities are
+    returned alongside.
     """
     if table.size < 1:
         raise ValueError("core must be nonempty")
@@ -184,16 +152,11 @@ def complement_difference(table: TraceTable) -> tuple[tuple[int, ...], QuotientC
     deltas = {rho[i] - vector[i] for i in range(table.size)}
     if len(deltas) != 1:
         raise InternalInvariantError("oriented-difference representative is not a constant shift of the tail counts")
-    cls = QuotientClass.from_bits(table.core, [v % 2 for v in vector])
-    return tuple(vector), cls
+    return tuple(vector), quotient_coords(BitVector.from_bits(vector))
 
 
-def next_bit_obstruction(
-    rho: Sequence[int],
-    m: int,
-    core: tuple[int, ...] | None = None,
-) -> Union[QuotientClass, NotConstantModulo]:
-    """Mod-2 class of (rho - c)/2^m modulo constants, when defined.
+def next_bit_obstruction(rho: Sequence[int], m: int) -> BitVector | None:
+    """Quotient coordinates of (rho - c)/2^m mod 2, or None when undefined.
 
     Requires the tail counts to be constant modulo 2^m; the reference value c
     is taken at the first core position, and any other valid choice shifts
@@ -204,26 +167,20 @@ def next_bit_obstruction(
         raise ValueError(f"bit index must be >= 0, got {m}")
     if not rho:
         raise ValueError("tail-count vector must be nonempty")
-    actual_core = core if core is not None else tuple(range(len(rho)))
-    if len(actual_core) != len(rho):
-        raise ValueError("core size does not match vector length")
     modulus = 1 << m
     c = rho[0]
     for value in rho:
         if (value - c) % modulus:
-            return NotConstantModulo(modulus=modulus)
-    bits = [((value - c) // modulus) % 2 for value in rho]
-    return QuotientClass.from_bits(actual_core, bits)
+            return None
+    return quotient_coords(BitVector.from_bits((value - c) // modulus for value in rho))
 
 
-def oriented_orbit_form(
-    table: TraceTable,
-    m: int,
-) -> Union[QuotientClass, DivisibilityFails]:
+def oriented_orbit_form(table: TraceTable, m: int) -> BitVector | None:
     """The next-bit class computed orbit by orbit from oriented differences.
 
-    Defined when every oriented difference is divisible by 2^m; it then
-    matches the direct tail-count computation, which is asserted.
+    Defined when every oriented difference is divisible by 2^m, and None
+    otherwise; when defined it matches the direct tail-count computation,
+    which is asserted.
     """
     if m < 0:
         raise ValueError(f"bit index must be >= 0, got {m}")
@@ -233,44 +190,48 @@ def oriented_orbit_form(
     for rep in _orbit_representatives(table):
         diff = table.count(rep) - table.count(full ^ rep)
         if diff % modulus:
-            return DivisibilityFails(modulus=modulus, mask=rep)
+            return None
         if (diff // modulus) % 2:
             acc ^= rep
-    cls = QuotientClass.from_bits(table.core, [acc >> i & 1 for i in range(table.size)])
-    direct = next_bit_obstruction(tail_degrees(table), m, core=table.core)
-    if not isinstance(direct, QuotientClass) or direct != cls:
+    coords = quotient_coords(BitVector(table.size, acc))
+    if next_bit_obstruction(tail_degrees(table), m) != coords:
         raise InternalInvariantError("orbit-difference class disagrees with the direct tail-count class")
-    return cls
+    return coords
 
 
 @dataclass(frozen=True)
 class PairTraceView:
-    """The graph of q-heavy two-point traces on the core, with its key flags."""
+    """The q-heavy two-point traces on the core, with the graph's key flags.
 
-    graph: Graph
+    ``edges`` are the heavy pairs as core vertex ids, sorted.
+    """
+
+    edges: tuple[tuple[int, int], ...]
     connected: bool
     has_odd_heavy_trace: bool
 
 
-def pair_trace_graph(table: TraceTable, q: int, name_of: Callable[[int], str] = str) -> PairTraceView:
+def pair_trace_graph(table: TraceTable, q: int) -> PairTraceView:
     """Edges are core pairs realized by at least q tail vertices."""
     if table.size < 2:
         raise ValueError("pair-trace graph needs a core of size >= 2")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     m = table.size
-    edges = []
+    pairs = []
+    adj = [0] * m
     for mask in table.available_masks(q):
         if mask.bit_count() == 2:
             i = (mask & -mask).bit_length() - 1
-            j = (mask ^ (mask & -mask)).bit_length() - 1
-            edges.append((i, j))
-    h2 = Graph.from_edges(m, edges, names=[name_of(v) for v in table.core])
+            j = mask.bit_length() - 1
+            pairs.append((i, j))
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     seen = 1
     frontier = [0]
     while frontier:
         v = frontier.pop()
-        fresh = h2.adj_masks[v] & ~seen
+        fresh = adj[v] & ~seen
         while fresh:
             low = fresh & -fresh
             seen |= low
@@ -278,7 +239,8 @@ def pair_trace_graph(table: TraceTable, q: int, name_of: Callable[[int], str] = 
             fresh ^= low
     connected = seen == (1 << m) - 1
     odd_heavy = any(mask.bit_count() % 2 == 1 for mask in table.available_masks(q))
-    return PairTraceView(graph=h2, connected=connected, has_odd_heavy_trace=odd_heavy)
+    edges = tuple((table.core[i], table.core[j]) for i, j in sorted(pairs))
+    return PairTraceView(edges=edges, connected=connected, has_odd_heavy_trace=odd_heavy)
 
 
 @dataclass(frozen=True)

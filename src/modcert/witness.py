@@ -6,7 +6,7 @@ degrees live in an interval shorter than q, so congruent means equal.  For a
 power-of-two modulus the residue lifts to modulo 2q with one extra bit per
 vertex, the top-bit label; everything downstream manipulates that label in
 the quotient of GF(2)^U by the constant vectors, whose coordinates relative
-to a base vertex are computed here.
+to the first core position are computed here.
 """
 
 from __future__ import annotations
@@ -73,9 +73,6 @@ class ModularWitness:
             )
         return cls(graph=graph, members=s, q=q, residue=check.residue)
 
-    def degrees(self) -> dict[int, int]:
-        return induced_degrees(self.graph, self.members)
-
 
 @dataclass(frozen=True)
 class Regular:
@@ -139,30 +136,31 @@ def top_bit_label(witness: ModularWitness, members) -> TopBitLabel:
     return TopBitLabel(base_lift=d, q=witness.q, labels=labels)
 
 
-def quotient_coords(x: BitVector, base_index: int) -> BitVector:
-    """Coordinates of a vector modulo the constant line, relative to a base entry.
+def _quotient_bits(mask: int, full: int) -> int:
+    """Quotient coordinates of a mask relative to position 0, as an integer.
 
-    Entry i of the result is x[i] + x[base] with the base position dropped;
-    two vectors map to the same coordinates exactly when they differ by a
-    constant vector.
+    ``full`` has a bit for every position: the mask is complemented when it
+    holds position 0, then shifted past it.
     """
-    if not 0 <= base_index < x.length:
-        raise ValueError(f"base index {base_index} out of range for length {x.length}")
-    base = x.bits >> base_index & 1
-    bits = []
-    for i in range(x.length):
-        if i == base_index:
-            continue
-        bits.append((x.bits >> i & 1) ^ base)
-    return BitVector.from_bits(bits)
+    return (mask ^ full if mask & 1 else mask) >> 1
+
+
+def quotient_coords(x: BitVector) -> BitVector:
+    """Coordinates of a vector modulo the constant line, relative to entry 0.
+
+    Entry i of the result is x[i+1] + x[0]; two vectors map to the same
+    coordinates exactly when they differ by a constant vector.
+    """
+    if x.length < 1:
+        raise ValueError("quotient coordinates need a vector of length >= 1")
+    return BitVector(x.length - 1, _quotient_bits(x.bits, (1 << x.length) - 1))
 
 
 def quotient_matrix(masks, size: int) -> BitMatrix:
-    """Quotient coordinates (base position 0) of each mask, one column per mask.
+    """Quotient coordinates of each mask, one column per mask.
 
     Column j is ``quotient_coords`` of mask j over a core of ``size``
-    positions: the mask, complemented when it holds the base, shifted past
-    the base.  Rows are filled byte-wise and converted once each.
+    positions.  Rows are filled byte-wise and converted once each.
     """
     if size < 1:
         raise ValueError(f"core size must be >= 1, got {size}")
@@ -171,7 +169,7 @@ def quotient_matrix(masks, size: int) -> BitMatrix:
     for j, mask in enumerate(masks):
         if not 0 <= mask <= full:
             raise ValueError(f"trace mask {mask:#x} outside a core of size {size}")
-        coords = (mask ^ full if mask & 1 else mask) >> 1
+        coords = _quotient_bits(mask, full)
         byte, bit = j >> 3, 1 << (j & 7)
         while coords:
             low = coords & -coords

@@ -9,7 +9,6 @@ from modcert.gf2 import (
     BitVector,
     Dual,
     Solution,
-    dot,
     mat_vec,
     pivot_columns,
     rank,
@@ -43,10 +42,6 @@ def naive_solve(rows, cols, row_bits, target_bits):
 
 
 class TestVectors:
-    def test_dot_characteristic_two(self):
-        ones = BitVector.from_bits([1, 1])
-        assert dot(ones, ones) == 0
-
     def test_xor_self_cancels(self):
         x = BitVector.from_bits([1, 0, 1, 1])
         assert (x ^ x).is_zero()
@@ -57,7 +52,7 @@ class TestVectors:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            dot(BitVector(2), BitVector(3))
+            BitVector(2) ^ BitVector(3)
         with pytest.raises(ValueError):
             mat_vec(BitMatrix(3, 3, (0b001, 0b010, 0b100)), BitVector(2))
 
@@ -80,7 +75,7 @@ class TestSolveOrDual:
         core = 5
         masks = [0b00011, 0b00110, 0b01100, 0b11000]
         matrix = quotient_matrix(masks, core)
-        target = quotient_coords(BitVector(core, 0b00101), 0)
+        target = quotient_coords(BitVector(core, 0b00101))
         result = solve_or_dual(matrix, target)
         assert isinstance(result, Solution)
         assert result.x == BitVector.from_bits([1, 1, 0, 0])
@@ -109,7 +104,7 @@ class TestRank:
         # dimension 2: enumerate the GF(2) closure explicitly and compare.
         core = 4
         masks = [m for m in range(1 << core) if bin(m).count("1") == 2]
-        columns = [quotient_coords(BitVector(core, m), 0) for m in masks]
+        columns = [quotient_coords(BitVector(core, m)) for m in masks]
         span = {0}
         for col in columns:
             span |= {x ^ col.bits for x in span}

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 import modcert.synth as synth_module
@@ -13,8 +16,8 @@ def assert_realizes(problem, m, q, masks, label):
     assert len(problem.core) == m
     realized = set(problem.table.available_masks(q)) - {0}
     assert realized == set(masks)
-    want = quotient_coords(BitVector(m, label), 0)
-    got = quotient_coords(problem.label_bits(), 0)
+    want = quotient_coords(BitVector(m, label))
+    got = quotient_coords(problem.label_bits())
     assert want == got
     assert is_q_modular(problem.graph, problem.witness.members, q).modular
 
@@ -67,7 +70,7 @@ def test_twin_pair_example_shape():
     assert problem.q == 2
     assert [problem.label.labels[v] for v in problem.core] == [1, 0, 1, 0]
     assert problem.table.entries == {0b0001: (4, 5), 0b0100: (6, 7)}
-    assert [mask for mask, _ in blocks.blocks] == [0b0001, 0b0100]
+    assert [mask for mask, _ in blocks] == [0b0001, 0b0100]
     assert tail_degrees(problem.table) == (2, 0, 2, 0)
 
 
@@ -96,3 +99,18 @@ def test_twin_pair_example_without_blocks_raises_internal_error(monkeypatch):
     monkeypatch.setattr(synth_module, "twin_tail_decompose", lambda table, q: None)
     with pytest.raises(InternalInvariantError, match="must decompose into twin blocks"):
         twin_pair_example()
+
+
+def test_large_core_with_odd_defect_count_returns_quickly():
+    # An odd defect count with no odd available trace falls through to the
+    # unavailable odd traces of a 70-vertex core: 2^70 masks, each with up
+    # to (k-1)!! pairings of the k defects, must not be listed in full.
+    rng = random.Random(70)
+    mask = 0b11 << 3
+    for seed_label in range(3):
+        label = rng.getrandbits(70)
+        start = time.monotonic()
+        problem = realize_problem(70, 2, [mask], label)
+        assert time.monotonic() - start < 5
+        assert problem is not None, seed_label
+        assert_realizes(problem, 70, 2, [mask], label)

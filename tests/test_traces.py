@@ -7,9 +7,6 @@ from modcert.errors import InternalInvariantError
 from modcert.gf2 import BitVector, rank
 from modcert.graph import Graph
 from modcert.traces import (
-    DivisibilityFails,
-    NotConstantModulo,
-    QuotientClass,
     TraceTable,
     complement_difference,
     compute_traces,
@@ -137,25 +134,18 @@ class TestComplementDifference:
 class TestNextBitObstruction:
     def test_constant_vector_zero_for_all_defined(self):
         for m in range(4):
-            outcome = next_bit_obstruction((1, 1, 1, 1), m)
-            assert isinstance(outcome, QuotientClass)
-            assert outcome.is_zero()
+            assert next_bit_obstruction((1, 1, 1, 1), m) == BitVector(3)
 
     def test_single_defect_vector(self):
-        outcome = next_bit_obstruction((0, 2, 0, 0), 1)
-        assert isinstance(outcome, QuotientClass)
-        assert outcome.coords == BitVector.from_bits([1, 0, 0])
+        assert next_bit_obstruction((0, 2, 0, 0), 1) == BitVector.from_bits([1, 0, 0])
         # Cross-check by the constancy characterization: not constant mod 4.
-        assert isinstance(next_bit_obstruction((0, 2, 0, 0), 2), NotConstantModulo)
+        assert next_bit_obstruction((0, 2, 0, 0), 2) is None
 
     def test_constant_mod_two(self):
-        outcome = next_bit_obstruction((3, 3, 3), 0)
-        assert isinstance(outcome, QuotientClass)
-        assert outcome.is_zero()
+        assert next_bit_obstruction((3, 3, 3), 0) == BitVector(2)
 
     def test_not_constant_reported(self):
-        outcome = next_bit_obstruction((0, 1), 1)
-        assert outcome == NotConstantModulo(modulus=2)
+        assert next_bit_obstruction((0, 1), 1) is None
 
     def test_zero_iff_constant_next_modulus(self):
         rng = random.Random(13)
@@ -164,7 +154,7 @@ class TestNextBitObstruction:
             rho = tuple(rng.randrange(0, 16) for _ in range(n))
             for m in range(4):
                 outcome = next_bit_obstruction(rho, m)
-                if isinstance(outcome, NotConstantModulo):
+                if outcome is None:
                     continue
                 constant_next = all((v - rho[0]) % (1 << (m + 1)) == 0 for v in rho)
                 assert outcome.is_zero() == constant_next
@@ -174,18 +164,14 @@ class TestOrientedOrbitForm:
     def test_cancelling_pair(self):
         g = cancelling_pair_graph()
         table = compute_traces(g, range(4), {4, 5})
-        outcome = oriented_orbit_form(table, 1)
-        assert isinstance(outcome, QuotientClass)
-        assert outcome.is_zero()
+        assert oriented_orbit_form(table, 1) == BitVector(3)
 
     def test_empty_table(self):
         table = compute_traces(cycle(4), range(4), set())
-        outcome = oriented_orbit_form(table, 2)
-        assert isinstance(outcome, QuotientClass)
-        assert outcome.is_zero()
+        assert oriented_orbit_form(table, 2) == BitVector(3)
 
     def test_disagreeing_direct_class_raises_internal_error(self, monkeypatch):
-        monkeypatch.setattr(traces_module, "next_bit_obstruction", lambda *a, **k: NotConstantModulo(modulus=1))
+        monkeypatch.setattr(traces_module, "next_bit_obstruction", lambda *a, **k: None)
         table = compute_traces(cancelling_pair_graph(), range(4), {4, 5})
         with pytest.raises(InternalInvariantError, match="disagrees with the direct"):
             oriented_orbit_form(table, 0)
@@ -195,10 +181,8 @@ class TestOrientedOrbitForm:
         # tail counts (1,1,1) are constant, so the direct class exists.
         g = Graph.from_edges(6, [(3, 0), (4, 1), (5, 2)])
         table = compute_traces(g, range(3), {3, 4, 5})
-        outcome = oriented_orbit_form(table, 1)
-        assert isinstance(outcome, DivisibilityFails)
-        direct = next_bit_obstruction(tail_degrees(table), 1)
-        assert isinstance(direct, QuotientClass)
+        assert oriented_orbit_form(table, 1) is None
+        assert next_bit_obstruction(tail_degrees(table), 1) is not None
 
     def test_matches_direct_form_on_random_divisible_tables(self):
         rng = random.Random(23)
@@ -216,8 +200,8 @@ class TestOrientedOrbitForm:
             table = TraceTable(core=tuple(range(m)), entries=entries)
             for bit in range(3):
                 outcome = oriented_orbit_form(table, bit)
-                if isinstance(outcome, QuotientClass):
-                    direct = next_bit_obstruction(tail_degrees(table), bit, core=table.core)
+                if outcome is not None:
+                    direct = next_bit_obstruction(tail_degrees(table), bit)
                     assert direct == outcome
                     checked += 1
         assert checked > 50
@@ -227,7 +211,7 @@ class TestPairTraceGraph:
     def test_empty_table_disconnected(self):
         table = compute_traces(cycle(4), range(4), set())
         view = pair_trace_graph(table, 2)
-        assert view.graph.edge_count() == 0
+        assert view.edges == ()
         assert not view.connected
 
     def test_all_pairs_heavy_even_core_without_odd_trace(self):
@@ -241,11 +225,20 @@ class TestPairTraceGraph:
         g = Graph.from_edges(next_id, edges)
         table = compute_traces(g, range(4), range(4, next_id))
         view = pair_trace_graph(table, 2)
+        assert view.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         assert view.connected
         assert not view.has_odd_heavy_trace
         # Even-weight span only: rank 2 < 3.
         masks = table.available_masks(2)
         assert rank(quotient_matrix(masks, 4)) == 2
+
+    def test_edges_are_core_ids(self):
+        # Core {2, 5, 7}: the heavy pair at positions 1 and 2 is the edge (5, 7).
+        g = Graph.from_edges(9, [(0, 5), (0, 7), (1, 5), (1, 7), (3, 2)])
+        table = compute_traces(g, {2, 5, 7}, {0, 1, 3})
+        view = pair_trace_graph(table, 2)
+        assert view.edges == ((5, 7),)
+        assert not view.connected
 
     def test_small_core_rejected(self):
         table = compute_traces(cycle(4), {0}, {1})

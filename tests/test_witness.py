@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import modcert.witness as witness_module
 from modcert.errors import InternalInvariantError
 from modcert.gf2 import BitVector
+from modcert.graph import induced_degrees
 from modcert.parity import two_modular_part
 from modcert.synth import twin_pair_example
 from modcert.witness import (
@@ -97,7 +98,7 @@ class TestTopBitLabel:
         label = top_bit_label(w, range(5))
         assert set(label.labels.values()) == {1}
         bits = label.bits_over(tuple(range(5)))
-        assert quotient_coords(bits, 0).is_zero()
+        assert quotient_coords(bits).is_zero()
 
     def test_worked_example_labels(self):
         problem, _ = twin_pair_example()
@@ -106,13 +107,13 @@ class TestTopBitLabel:
     def test_alternate_lift_flips_labels_same_class(self):
         problem, _ = twin_pair_example()
         w = problem.witness
-        degs = w.degrees()
+        degs = induced_degrees(w.graph, w.members)
         d = w.residue
         canonical = [(degs[v] - d) // w.q % 2 for v in problem.core]
         shifted = [(degs[v] - d - w.q) // w.q % 2 for v in problem.core]
         assert all((a + b) % 2 == 1 for a, b in zip(canonical, shifted))
-        a = quotient_coords(BitVector.from_bits(canonical), 0)
-        b = quotient_coords(BitVector.from_bits(shifted), 0)
+        a = quotient_coords(BitVector.from_bits(canonical))
+        b = quotient_coords(BitVector.from_bits(shifted))
         assert a == b
 
     def test_subset_must_be_inside_witness(self):
@@ -134,28 +135,28 @@ class TestTopBitLabel:
 
 class TestQuotientCoords:
     def test_constant_vector_maps_to_zero(self):
-        assert quotient_coords(BitVector.from_bits([1, 1, 1]), 1).is_zero()
-        assert quotient_coords(BitVector.from_bits([0, 0, 0]), 0).is_zero()
+        assert quotient_coords(BitVector.from_bits([1, 1, 1])).is_zero()
+        assert quotient_coords(BitVector.from_bits([0, 0, 0])).is_zero()
 
     def test_base_indicator_maps_to_all_ones(self):
-        coords = quotient_coords(BitVector.from_bits([1, 0, 0]), 0)
+        coords = quotient_coords(BitVector.from_bits([1, 0, 0]))
         assert coords == BitVector.from_bits([1, 1])
 
     def test_zero_base_entry_copies_vector(self):
-        vec = BitVector.from_bits([1, 0, 1, 0, 0])
-        assert quotient_coords(vec, 4) == BitVector.from_bits([1, 0, 1, 0])
+        vec = BitVector.from_bits([0, 1, 0, 1, 0])
+        assert quotient_coords(vec) == BitVector.from_bits([1, 0, 1, 0])
 
     def test_base_out_of_range(self):
+        # A vector of length 0 has no entry 0 to be the base.
         with pytest.raises(ValueError):
-            quotient_coords(BitVector(3), 3)
+            quotient_coords(BitVector(0))
 
     @settings(max_examples=80)
     @given(st.integers(1, 10), st.randoms(use_true_random=False))
     def test_equal_coords_iff_constant_shift(self, n, rnd):
-        base = rnd.randrange(n)
         x = BitVector(n, rnd.getrandbits(n))
         y = BitVector(n, rnd.getrandbits(n))
-        same = quotient_coords(x, base) == quotient_coords(y, base)
+        same = quotient_coords(x) == quotient_coords(y)
         diff = x.bits ^ y.bits
         assert same == (diff in (0, (1 << n) - 1))
 
