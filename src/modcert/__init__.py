@@ -3,7 +3,10 @@
 Core pipeline: parity partition as the base congruence, trace tables over a
 retained core, exact next-bit obstruction classes, and an absorption engine
 that emits either a verified deletion certificate or a verified parity-cut
-obstruction, with brute-force oracles and a reservoir simulator alongside.
+obstruction, with a reservoir simulator alongside.  The brute-force oracles
+and the instance builders are imported from their submodules,
+``modcert.oracle`` and ``modcert.synth``, so that importing the package
+does not load them.
 """
 
 from .absorb import (
@@ -28,10 +31,8 @@ from .absorb import (
 from .errors import InternalInvariantError, ParseError
 from .gf2 import BitMatrix, BitVector, Dual, Solution, mat_vec, rank, solve_or_dual
 from .graph import Graph, induced_degrees, is_regular, load_graph
-from .oracle import brute_force_absorption, brute_force_alpha_omega, brute_force_max_regular
 from .parity import parity_partition, two_modular_part, verify_even_partition
 from .reservoir import AvailabilityReport, ReservoirSpec, estimate_availability, sample_reservoir
-from .synth import path_pair_trace_problem, realize_problem, twin_pair_example
 from .traces import (
     TraceTable,
     complement_difference,

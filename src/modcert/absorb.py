@@ -14,13 +14,12 @@ before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import InternalInvariantError
 from .gf2 import BitMatrix, BitVector, Dual, Solution, pivot_columns, solve_or_dual
 from .graph import check_subset, mask_of
-from .traces import TraceTable, compute_traces, pair_trace_graph, split_witness
+from .traces import PairTraceView, TraceTable, compute_traces, split_witness
 from .witness import (
     ModularWitness,
     TopBitLabel,
@@ -33,8 +32,7 @@ from .witness import (
 SCHEMA_VERSION = "modcert-v1"
 
 
-@dataclass(frozen=True)
-class AbsorptionProblem:
+class AbsorptionProblem(NamedTuple):
     """A witness, a retained core, the top-bit label, and the tail's traces."""
 
     witness: ModularWitness
@@ -65,8 +63,7 @@ class AbsorptionProblem:
         return self.label.bits_over(self.core)
 
 
-@dataclass(frozen=True)
-class DeletionCertificate:
+class DeletionCertificate(NamedTuple):
     """Chosen traces and, for each, the concrete q-tuple of deleted tail vertices."""
 
     q: int
@@ -79,8 +76,7 @@ class DeletionCertificate:
         return tuple(sorted(v for _, deleted in self.chosen for v in deleted))
 
 
-@dataclass(frozen=True)
-class ParityCut:
+class ParityCut(NamedTuple):
     """Even core subset meeting every available trace evenly but the defect oddly."""
 
     q: int
@@ -92,14 +88,12 @@ class ParityCut:
 Certificate = Union[DeletionCertificate, ParityCut]
 
 
-@dataclass(frozen=True)
-class TraceSelection:
+class TraceSelection(NamedTuple):
     masks: tuple[int, ...]
     deletions: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class CutPositions:
+class CutPositions(NamedTuple):
     positions: tuple[int, ...]
 
 
@@ -185,7 +179,7 @@ def solve_core_correction(problem: AbsorptionProblem) -> Certificate:
     ok, residue = _deletion_outcome(problem, cert)
     if not ok:
         raise InternalInvariantError("deletion certificate failed independent verification")
-    return replace(cert, residue_achieved=residue)
+    return cert._replace(residue_achieved=residue)
 
 
 def _check_problem_claims(problem: AbsorptionProblem, cert: Certificate) -> None:
@@ -331,7 +325,7 @@ def rank_rich(table: TraceTable, q: int) -> tuple[bool, tuple[int, ...]]:
     return True, tuple(masks[j] for j in pivots)
 
 
-def pair_trace_sufficiency(table: TraceTable, q: int) -> str | None:
+def pair_trace_sufficiency(table: TraceTable, q: int, view: PairTraceView) -> str | None:
     """Why the pair-trace condition fails, or None when it holds.
 
     The condition is a connected heavy-pair graph, plus an odd heavy trace
@@ -339,8 +333,8 @@ def pair_trace_sufficiency(table: TraceTable, q: int) -> str | None:
     summing pair traces along paths produces every even-weight vector, and
     the odd trace leaves the even-weight subspace when the core has even
     size.  The implication is asserted whenever the condition holds.
+    ``view`` is ``pair_trace_graph(table, q)``, which the caller builds once.
     """
-    view = pair_trace_graph(table, q)
     if not view.connected:
         return "heavy pair-trace graph is disconnected"
     if table.size % 2 == 0 and not view.has_odd_heavy_trace:

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import traceback
 from typing import Sequence
 
 from .absorb import (
@@ -27,7 +26,6 @@ from .absorb import (
 )
 from .errors import InternalInvariantError, ParseError
 from .graph import Graph, load_graph
-from .oracle import brute_force_absorption, brute_force_max_regular
 from .parity import parity_partition, verify_even_partition
 from .reservoir import RNG_ALGORITHM, ReservoirSpec, estimate_availability
 from .traces import (
@@ -177,7 +175,7 @@ def _cmd_pair_trace(args) -> int:
     graph = _load(args)
     table = _core_table(args, graph)
     view = pair_trace_graph(table, args.q)
-    reason = pair_trace_sufficiency(table, args.q)
+    reason = pair_trace_sufficiency(table, args.q, view)
     applies = reason is None
     payload = {
         "command": "pair-trace",
@@ -213,6 +211,9 @@ def _cmd_nd(args) -> int:
 
 
 def _cmd_oracle_f(args) -> int:
+    # The oracles serve small checks only; other runs skip their import.
+    from .oracle import brute_force_max_regular
+
     graph = _load(args)
     size, members = brute_force_max_regular(graph)
     payload = {
@@ -225,6 +226,8 @@ def _cmd_oracle_f(args) -> int:
 
 
 def _cmd_oracle_absorb(args) -> int:
+    from .oracle import brute_force_absorption
+
     graph = _load(args)
     problem = _problem_from_args(args, graph)
     exists, chosen = brute_force_absorption(problem)
@@ -384,6 +387,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Last resort, so that no run ends in a traceback: any other failure
         # is a defect of the program, not of its input.  The repr keeps the
         # report on one line; the innermost frame says where it happened.
+        import traceback
+
         where = traceback.extract_tb(exc.__traceback__)[-1]
         print(f"internal error: {exc!r} at {os.path.basename(where.filename)}:{where.lineno}",
               file=sys.stderr)

@@ -27,10 +27,9 @@ limit beyond memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import and_, not_, rshift, xor
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 
 # Four Russians block width, and the fewest rows in a block's buckets worth
@@ -45,17 +44,21 @@ def _check_dim(value: int, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class BitVector:
-    """Immutable vector over GF(2); coordinate i is bit i of ``bits``."""
-
+class _BitVectorFields(NamedTuple):
     length: int
     bits: int = 0
 
-    def __post_init__(self):
-        _check_dim(self.length, "vector length")
-        if not 0 <= self.bits < (1 << self.length):
+
+class BitVector(_BitVectorFields):
+    """Immutable vector over GF(2); coordinate i is bit i of ``bits``."""
+
+    __slots__ = ()
+
+    def __new__(cls, length: int, bits: int = 0) -> "BitVector":
+        _check_dim(length, "vector length")
+        if not 0 <= bits < (1 << length):
             raise ValueError("bits outside the declared length")
+        return super().__new__(cls, length, bits)
 
     @classmethod
     def from_bits(cls, values: Iterable[int]) -> "BitVector":
@@ -82,34 +85,36 @@ class BitVector:
         return "".join(str(self.bits >> i & 1) for i in range(self.length))
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """Matrix over GF(2); row i is the integer ``row_bits[i]`` over the columns."""
-
+class _BitMatrixFields(NamedTuple):
     rows: int
     cols: int
     row_bits: tuple[int, ...]
 
-    def __post_init__(self):
-        _check_dim(self.rows, "row count")
-        _check_dim(self.cols, "column count")
-        if len(self.row_bits) != self.rows:
+
+class BitMatrix(_BitMatrixFields):
+    """Matrix over GF(2); row i is the integer ``row_bits[i]`` over the columns."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, row_bits: tuple[int, ...]) -> "BitMatrix":
+        _check_dim(rows, "row count")
+        _check_dim(cols, "column count")
+        if len(row_bits) != rows:
             raise ValueError("row count does not match row data")
-        bound = 1 << self.cols
-        for r in self.row_bits:
+        bound = 1 << cols
+        for r in row_bits:
             if not 0 <= r < bound:
                 raise ValueError("row bits outside the declared column count")
+        return super().__new__(cls, rows, cols, row_bits)
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """M x = t holds exactly."""
 
     x: BitVector
 
 
-@dataclass(frozen=True)
-class Dual:
+class Dual(NamedTuple):
     """y combines rows of M to zero while y . t = 1: the system is unsolvable."""
 
     y: BitVector

@@ -23,22 +23,24 @@ either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import eq, itemgetter
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable simple graph. Build via :meth:`from_edges` or :func:`load_graph`."""
-
+class _GraphFields(NamedTuple):
     n: int
     names: tuple[str, ...]
     adj_masks: tuple[int, ...]
+
+
+class Graph(_GraphFields):
+    """Immutable simple graph. Build via :meth:`from_edges` or :func:`load_graph`."""
+
+    # No ``__slots__``: the instance ``__dict__`` holds the cached name index.
 
     @classmethod
     def from_edges(

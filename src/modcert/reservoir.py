@@ -24,8 +24,7 @@ import bisect
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .gf2 import rank
 from .traces import TraceTable
@@ -36,10 +35,7 @@ RNG_ALGORITHM = "mt19937"
 Distribution = Union[str, tuple[tuple[int, float], ...]]
 
 
-@dataclass(frozen=True)
-class ReservoirSpec:
-    """Sampling plan: core size, modulus, distribution, sample and trial counts."""
-
+class _ReservoirSpecFields(NamedTuple):
     core_size: int
     q: int
     samples: int
@@ -47,19 +43,33 @@ class ReservoirSpec:
     seed: int
     distribution: Distribution = "uniform"
 
-    def __post_init__(self):
-        if self.core_size < 1:
-            raise ValueError(f"core size must be >= 1, got {self.core_size}")
-        if self.q < 1 or self.q & (self.q - 1):
-            raise ValueError(f"q must be a positive power of two, got {self.q}")
-        if self.samples < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.samples}")
-        if self.trials < 1:
-            raise ValueError(f"trial count must be >= 1, got {self.trials}")
-        if self.distribution != "uniform":
+
+class ReservoirSpec(_ReservoirSpecFields):
+    """Sampling plan: core size, modulus, distribution, sample and trial counts."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        core_size: int,
+        q: int,
+        samples: int,
+        trials: int,
+        seed: int,
+        distribution: Distribution = "uniform",
+    ) -> "ReservoirSpec":
+        if core_size < 1:
+            raise ValueError(f"core size must be >= 1, got {core_size}")
+        if q < 1 or q & (q - 1):
+            raise ValueError(f"q must be a positive power of two, got {q}")
+        if samples < 1:
+            raise ValueError(f"sample count must be >= 1, got {samples}")
+        if trials < 1:
+            raise ValueError(f"trial count must be >= 1, got {trials}")
+        if distribution != "uniform":
             total = 0.0
-            full = (1 << self.core_size) - 1
-            for mask, prob in self.distribution:
+            full = (1 << core_size) - 1
+            for mask, prob in distribution:
                 if not 0 <= mask <= full:
                     raise ValueError(f"trace mask {mask:#x} out of range")
                 if not (math.isfinite(prob) and prob >= 0):
@@ -67,6 +77,7 @@ class ReservoirSpec:
                 total += prob
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"trace probabilities sum to {total!r}, not 1")
+        return super().__new__(cls, core_size, q, samples, trials, seed, distribution)
 
     def to_json_dict(self) -> dict:
         dist = (
@@ -182,8 +193,7 @@ def _spans(core_size: int, masks: Sequence[int]) -> bool:
     return rank(quotient_matrix(masks, core_size)) == core_size - 1
 
 
-@dataclass(frozen=True)
-class AvailabilityReport:
+class AvailabilityReport(NamedTuple):
     spec: ReservoirSpec
     basis: tuple[int, ...]
     min_probability: float
@@ -240,12 +250,15 @@ def estimate_availability(
     failures = 0
     spanning = 0
     bits = []
+    # Read once: the comprehensions below run per mask, and a NamedTuple
+    # field read is a descriptor call.
+    q = spec.q
     for trial in range(spec.trials):
         counts = _draw_counts(spec, trial_rng(spec.seed, trial))
-        failed = any(counts.get(mask, 0) < spec.q for mask in basis_masks)
+        failed = any(counts.get(mask, 0) < q for mask in basis_masks)
         failures += failed
         bits.append("1" if failed else "0")
-        available = [mask for mask, count in counts.items() if count >= spec.q]
+        available = [mask for mask, count in counts.items() if count >= q]
         spanning += _spans(m, available)
     bound = (m - 1) * math.exp(-spec.samples * p / 8.0)
     return AvailabilityReport(

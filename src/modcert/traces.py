@@ -11,8 +11,7 @@ constant part and produce phantom obstructions).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import InternalInvariantError
 from .gf2 import BitVector
@@ -20,8 +19,7 @@ from .graph import Graph, check_subset, mask_of
 from .witness import quotient_coords
 
 
-@dataclass(frozen=True)
-class TraceTable:
+class TraceTable(NamedTuple):
     """Multiplicities and realizers of every trace occurring in a tail.
 
     ``entries`` maps a trace mask (bit i set = i-th smallest core vertex is a
@@ -91,18 +89,27 @@ def compute_traces(graph: Graph, core, tail) -> TraceTable:
     if core_set & tail_set:
         raise ValueError("core and tail must be disjoint")
     core_sorted = tuple(sorted(core_set))
-    index = {v: i for i, v in enumerate(core_sorted)}
     core_mask = mask_of(core_set)
+    adj = graph.adj_masks
+    # Tail vertices with one trace share one neighborhood in the core, so
+    # the tail is grouped by neighborhood first and each distinct one is
+    # mapped to core positions once.  Distinct neighborhoods give distinct
+    # masks, in the order of their first realizer either way.
     grouped: dict[int, list[int]] = defaultdict(list)
     for x in sorted(tail_set):
-        neighbors = graph.adj_masks[x] & core_mask
+        grouped[adj[x] & core_mask].append(x)
+    vertex_bit = {v: 1 << v for v in core_sorted}
+    position_bit = {v: 1 << i for i, v in enumerate(core_sorted)}
+    entries = {}
+    for neighbors, realizers in grouped.items():
         mask = 0
+        # Clearing the top bit shrinks the integer; the lowest bit would not.
         while neighbors:
-            low = neighbors & -neighbors
-            mask |= 1 << index[low.bit_length() - 1]
-            neighbors ^= low
-        grouped[mask].append(x)
-    return TraceTable(core=core_sorted, entries={m: tuple(r) for m, r in grouped.items()})
+            top = neighbors.bit_length() - 1
+            mask |= position_bit[top]
+            neighbors ^= vertex_bit[top]
+        entries[mask] = tuple(realizers)
+    return TraceTable(core=core_sorted, entries=entries)
 
 
 def tail_degrees(table: TraceTable) -> tuple[int, ...]:
@@ -199,8 +206,7 @@ def oriented_orbit_form(table: TraceTable, m: int) -> BitVector | None:
     return coords
 
 
-@dataclass(frozen=True)
-class PairTraceView:
+class PairTraceView(NamedTuple):
     """The q-heavy two-point traces on the core, with the graph's key flags.
 
     ``edges`` are the heavy pairs as core vertex ids, sorted.
@@ -218,9 +224,10 @@ def pair_trace_graph(table: TraceTable, q: int) -> PairTraceView:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     m = table.size
+    available = table.available_masks(q)
     pairs = []
     adj = [0] * m
-    for mask in table.available_masks(q):
+    for mask in available:
         if mask.bit_count() == 2:
             i = (mask & -mask).bit_length() - 1
             j = mask.bit_length() - 1
@@ -238,13 +245,12 @@ def pair_trace_graph(table: TraceTable, q: int) -> PairTraceView:
             frontier.append(low.bit_length() - 1)
             fresh ^= low
     connected = seen == (1 << m) - 1
-    odd_heavy = any(mask.bit_count() % 2 == 1 for mask in table.available_masks(q))
+    odd_heavy = any(mask.bit_count() % 2 == 1 for mask in available)
     edges = tuple((table.core[i], table.core[j]) for i, j in sorted(pairs))
     return PairTraceView(edges=edges, connected=connected, has_odd_heavy_trace=odd_heavy)
 
 
-@dataclass(frozen=True)
-class TypePartition:
+class TypePartition(NamedTuple):
     """Twin-type classes: within a class, vertices look alike to everyone else."""
 
     t: int

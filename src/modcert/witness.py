@@ -11,7 +11,6 @@ to the first core position are computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import InternalInvariantError
@@ -50,8 +49,7 @@ def _is_power_of_two(q: int) -> bool:
     return q >= 1 and q & (q - 1) == 0
 
 
-@dataclass(frozen=True)
-class ModularWitness:
+class ModularWitness(NamedTuple):
     """A vertex set whose induced degrees all agree modulo a power of two."""
 
     graph: Graph
@@ -74,13 +72,11 @@ class ModularWitness:
         return cls(graph=graph, members=s, q=q, residue=check.residue)
 
 
-@dataclass(frozen=True)
-class Regular:
+class Regular(NamedTuple):
     degree: int | None
 
 
-@dataclass(frozen=True)
-class TooLarge:
+class TooLarge(NamedTuple):
     size: int
     q: int
 
@@ -101,8 +97,7 @@ def terminal_check(witness: ModularWitness) -> TerminalResult:
     return Regular(degree=degree)
 
 
-@dataclass(frozen=True)
-class TopBitLabel:
+class TopBitLabel(NamedTuple):
     """Per-vertex bit lifting degrees from modulo q to modulo 2q.
 
     For every labeled vertex, deg(v) within the witness is congruent to

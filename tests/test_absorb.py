@@ -1,7 +1,5 @@
 import pytest
 
-import dataclasses
-
 from modcert.absorb import (
     AbsorptionProblem,
     DeletionCertificate,
@@ -26,6 +24,7 @@ from modcert.gf2 import _BLOCK, _CUTOVER, BitVector, rank
 from modcert.graph import Graph
 from modcert.oracle import brute_force_absorption
 from modcert.synth import path_pair_trace_problem, realize_problem, twin_pair_example
+from modcert.traces import pair_trace_graph
 from modcert.witness import ModularWitness, is_q_modular, terminal_check
 
 
@@ -185,15 +184,15 @@ class TestVerifyCertificate:
         cert = solve_core_correction(problem)
         (trace, deleted), *rest = cert.chosen
         for wrong in (trace[1:], trace + (problem.core[-1],), (trace[0],) + trace):
-            bad = dataclasses.replace(cert, chosen=((wrong, deleted), *rest))
+            bad = cert._replace(chosen=((wrong, deleted), *rest))
             assert not verify_certificate(problem, bad)
 
     def test_declared_residue_must_be_recomputed(self):
         problem = path_pair_trace_problem(2)
         cert = solve_core_correction(problem)
-        assert verify_certificate(problem, dataclasses.replace(cert, residue_achieved=None))
+        assert verify_certificate(problem, cert._replace(residue_achieved=None))
         wrong = (cert.residue_achieved + 1) % (2 * problem.q)
-        assert not verify_certificate(problem, dataclasses.replace(cert, residue_achieved=wrong))
+        assert not verify_certificate(problem, cert._replace(residue_achieved=wrong))
 
     def test_problem_claims_checked_for_both_kinds(self):
         for problem in (path_pair_trace_problem(2), realize_problem(4, 2, [0b0011, 0b1100], 0b0001)):
@@ -201,7 +200,7 @@ class TestVerifyCertificate:
             for change in ({"q": 2 * problem.q}, {"lift": problem.lift + 1},
                            {"core": problem.core[1:]}):
                 with pytest.raises(ValueError):
-                    verify_certificate(problem, dataclasses.replace(cert, **change))
+                    verify_certificate(problem, cert._replace(**change))
 
 
 class TestVerifyParityCut:
@@ -306,27 +305,31 @@ class TestRankRich:
         assert len(spanning) <= 4
 
 
+def _pair_trace_reason(table, q):
+    return pair_trace_sufficiency(table, q, pair_trace_graph(table, q))
+
+
 class TestPairTraceSufficiency:
     def test_path_applies(self):
         problem = path_pair_trace_problem(2)
-        assert pair_trace_sufficiency(problem.table, problem.q) is None
+        assert _pair_trace_reason(problem.table, problem.q) is None
 
     def test_disconnected(self):
         problem = realize_problem(4, 2, [0b0011, 0b1100], 0)
-        reason = pair_trace_sufficiency(problem.table, problem.q)
+        reason = _pair_trace_reason(problem.table, problem.q)
         assert "disconnected" in reason
 
     def test_even_core_needs_odd_trace(self):
         all_pairs = [(1 << i) | (1 << j) for i in range(4) for j in range(i + 1, 4)]
         problem = realize_problem(4, 2, all_pairs, 0)
-        reason = pair_trace_sufficiency(problem.table, problem.q)
+        reason = _pair_trace_reason(problem.table, problem.q)
         assert "odd" in reason
         _, matrix = trace_class_matrix(problem.table, problem.q)
         assert rank(matrix) == 2
 
     def test_applies_implies_solvable_for_every_label(self):
         problem = path_pair_trace_problem(2)
-        assert pair_trace_sufficiency(problem.table, problem.q) is None
+        assert _pair_trace_reason(problem.table, problem.q) is None
         m = len(problem.core)
         for bits in range(1 << m):
             outcome = solve_defect(problem.table, problem.q, BitVector(m, bits))

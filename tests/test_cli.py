@@ -165,8 +165,6 @@ class TestAbsorbChecksOnce:
     ])
     def test_wrong_solve_exit_three(self, tmp_path, capsys, monkeypatch,
                                     problem, outcome_type, field, message):
-        import dataclasses
-
         import modcert.absorb
         from modcert.gf2 import BitVector
 
@@ -178,7 +176,7 @@ class TestAbsorbChecksOnce:
             # The last coordinate: in the deletion case it is a trace of nonzero class.
             vector = getattr(outcome, field)
             flipped_bits = vector.bits ^ 1 << (vector.length - 1)
-            return dataclasses.replace(outcome, **{field: BitVector(vector.length, flipped_bits)})
+            return outcome._replace(**{field: BitVector(vector.length, flipped_bits)})
 
         monkeypatch.setattr(modcert.absorb, "solve_or_dual", flipped)
         code, out, err = run_cli(capsys, _absorb_args(write_graph(tmp_path, problem.graph), problem))

@@ -56,6 +56,27 @@ class TestVectors:
         with pytest.raises(ValueError):
             mat_vec(BitMatrix(3, 3, (0b001, 0b010, 0b100)), BitVector(2))
 
+    @pytest.mark.parametrize("build", [
+        lambda: BitVector(-1),
+        lambda: BitVector(2, 0b100),
+        lambda: BitVector(2, -1),
+        lambda: BitMatrix(-1, 0, ()),
+        lambda: BitMatrix(1, -1, (0,)),
+        lambda: BitMatrix(2, 2, (0,)),
+        lambda: BitMatrix(1, 2, (0b100,)),
+        lambda: BitMatrix(1, 2, (-1,)),
+    ])
+    def test_constructors_validate(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_fields_and_repr(self):
+        x = BitVector(length=3, bits=0b101)
+        assert (x.length, x.bits, repr(x), str(x)) == (3, 0b101, "BitVector(length=3, bits=5)", "101")
+        assert BitVector(4) == BitVector(4, 0)
+        m = BitMatrix(rows=1, cols=2, row_bits=(0b11,))
+        assert repr(m) == "BitMatrix(rows=1, cols=2, row_bits=(3,))"
+
 
 class TestSolveOrDual:
     def test_identity_system(self):
