@@ -5,7 +5,11 @@ the original names are kept so reports and certificates can refer back to the
 input.  Adjacency is stored once, as one bit-mask per vertex (bit v of
 ``adj_masks[u]`` is set exactly when uv is an edge); neighbor and edge
 iteration read the masks.  :meth:`Graph.from_edges` is the one builder: it
-sets bits in packed byte rows and turns each row into an integer once.  The
+sets bits in packed byte rows and turns each row into an integer once.  For
+the first N²/32 edges (N is n rounded up to a power of two) it sets both
+directions of each edge; after that only row u's bit v, and once the edges
+run out it closes the rows with A | Aᵀ by a delta-swap bit transpose of
+tiles at most 1024 bits square.  Sparse graphs never reach the switch.  The
 parsers stream validated edges into it without building an edge list
 (except a header-less edge list, whose vertex count is known only at the
 end).
@@ -13,18 +17,19 @@ end).
 An edge list with an ``n <count>`` header is read in chunks of about 64 Ki
 characters, each extended to the end of its line.  A chunk of canonical lines
 only -- ``u v`` with one space, ids in the default decimal spelling (no sign,
-no leading zero) below the count, ``u != v`` -- is checked and converted in a
-few passes that run in C.  Any other chunk (comments, blank lines, other
-whitespace, ``01`` or ``+2``, a missing final newline, an error) is read line
-by line by :func:`_numbered_edges`, which alone defines the accepted syntax
-and the error messages; line numbers count from the start of the stream
-either way.
+no leading zero) below the count, ``u != v`` -- is checked in one pass that
+runs in C (ASCII, and nothing but one space and one newline per line once
+the digits are deleted) and converted by dict lookups.  Any other chunk
+(comments, blank lines, other whitespace, non-ASCII digits, ``01`` or
+``+2``, a missing final newline, an error) is read line by line by
+:func:`_numbered_edges`, which alone defines the accepted syntax and the
+error messages; line numbers count from the start of the stream either way.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import eq, itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -52,16 +57,24 @@ class Graph(_GraphFields):
         name_tuple = tuple(names) if names is not None else tuple(str(v) for v in range(n))
         if len(name_tuple) != n:
             raise ValueError(f"expected {n} names, got {len(name_tuple)}")
-        rows = [bytearray((n + 7) >> 3) for _ in range(n)]
+        side = 1 << max(n - 1, 0).bit_length()
+        tile = min(max(side, 8), _TILE)
+        rows = [bytearray(-(-n // tile) * tile >> 3) for _ in range(n)]
         byte = [v >> 3 for v in range(n)]
         bit = [1 << (v & 7) for v in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+        edges = iter(edges)
+        for u, v in islice(edges, side * side >> 5):
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise _edge_error(u, v, n)
             rows[u][byte[v]] |= bit[v]
             rows[v][byte[u]] |= bit[u]
+        rest = next(edges, None)
+        if rest is not None:
+            for u, v in chain((rest,), edges):
+                if u == v or not (0 <= u < n and 0 <= v < n):
+                    raise _edge_error(u, v, n)
+                rows[u][byte[v]] |= bit[v]
+            _symmetrize(rows, tile)
         masks = tuple(int.from_bytes(row, "little") for row in rows)
         return cls(n=n, names=name_tuple, adj_masks=masks)
 
@@ -105,6 +118,68 @@ class Graph(_GraphFields):
                 raise ValueError(f"unknown vertex name {name!r}")
             out.append(index[name])
         return out
+
+
+# Side of the square tiles that ``_symmetrize`` transposes one at a time.
+_TILE = 1 << 10
+
+
+def _edge_error(u: int, v: int, n: int) -> ValueError:
+    if not (0 <= u < n and 0 <= v < n):
+        return ValueError(f"edge ({u},{v}) out of range for n={n}")
+    return ValueError(f"self-loop at vertex {u}")
+
+
+def _symmetrize(rows: list[bytearray], tile: int) -> None:
+    """Replace the bit matrix A in ``rows`` by A | Aᵀ, in place.
+
+    Bit c of row r is byte c >> 3, bit c & 7 of ``rows[r]``; every row is a
+    whole number of ``tile``-bit tiles wide.  Tiles (i, j) and (j, i) are
+    rewritten together from X = A[i, j] | A[j, i]ᵀ and Xᵀ, so only tiles not
+    yet rewritten are read, and besides the rows only a few tile-sized
+    integers are live at a time.
+    """
+    n = len(rows)
+    width = tile >> 3
+
+    def read(top: int, left: int) -> int:
+        lo = left >> 3
+        return int.from_bytes(b"".join([rows[r][lo:lo + width] for r in range(top, min(top + tile, n))]), "little")
+
+    def write(top: int, left: int, x: int) -> None:
+        lo = left >> 3
+        data = memoryview(x.to_bytes(tile * width, "little"))
+        for k, r in enumerate(range(top, min(top + tile, n))):
+            rows[r][lo:lo + width] = data[k * width:(k + 1) * width]
+
+    starts = range(0, n, tile)
+    for i, top in enumerate(starts):
+        for left in starts[i:]:
+            x = read(top, left) | _transpose(read(left, top), tile)
+            write(top, left, x)
+            if left != top:
+                write(left, top, _transpose(x, tile))
+
+
+def _transpose(x: int, side: int) -> int:
+    """Transpose a side × side bit matrix stored row-major (bit r * side + c).
+
+    One delta swap per bit j of the indices (side a power of two, at least
+    8): the bits at (r, c) with r & j clear and c & j set trade places with
+    (r | j, c & ~j), ``j * (side - 1)`` positions higher.
+    """
+    width = side >> 3
+    blank = bytes(width)
+    step = side >> 1
+    while step:
+        pattern = ((1 << side) - 1) // ((1 << 2 * step) - 1) * (((1 << step) - 1) << step)
+        row = pattern.to_bytes(width, "little")
+        mask = int.from_bytes((row * step + blank * step) * (side // (2 * step)), "little")
+        delta = step * (side - 1)
+        swap = (x ^ x >> delta) & mask
+        x ^= swap | swap << delta
+        step >>= 1
+    return x
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -205,15 +280,19 @@ def _numbered_chunks(stream: IO[str], n: int, lineno: int) -> Iterator[Iterable[
 def _canonical_edges(chunk: str, ids: dict[str, int]) -> zip | None:
     """The id pairs of a chunk whose every line is canonical ``u v``, else None.
 
-    The chunk rebuilt from its whitespace-free tokens, two per line joined by
-    one space, equals it exactly when every line is ``a b`` with a single
-    space and ends in a newline.  ``ids`` holds only the default names, so a
-    lookup fails on any other spelling or on an id out of range.  A chunk
-    with no tokens goes line by line too, so ``itemgetter`` gets at least two.
+    Deleting the decimal digits from an ASCII chunk of 2k or 2k + 1 tokens
+    leaves k copies of ``" \\n"`` exactly when it is k lines ``a b`` of
+    digits with one space between and a newline after.  That check runs in
+    C: one ``isascii``, one ``encode`` (which cannot fail on ASCII) and one
+    ``translate``.  ``ids`` holds only the default names, so a lookup fails
+    on ``01``, ``+2`` or an id out of range.  A chunk of fewer than two
+    tokens goes line by line, so ``itemgetter`` gets at least two.
     """
+    if not chunk.isascii():
+        return None
     tokens = chunk.split()
-    pairs = iter(tokens)
-    if not tokens or "\n".join(map(" ".join, zip(pairs, pairs))) + "\n" != chunk:
+    lines = len(tokens) >> 1
+    if not lines or chunk.encode("ascii").translate(None, b"0123456789") != b" \n" * lines:
         return None
     try:
         ends = itemgetter(*tokens)(ids)

@@ -123,10 +123,12 @@ def top_bit_label(witness: ModularWitness, members) -> TopBitLabel:
     if not s <= witness.members:
         raise ValueError("labeled subset must lie inside the witness")
     d = witness.residue if witness.residue is not None else 0
-    degs = induced_degrees(witness.graph, witness.members)
-    labels = {v: (degs[v] - d) // witness.q % 2 for v in sorted(s)}
+    adj, inside = witness.graph.adj_masks, mask_of(witness.members)
+    labels = {}
     for v in sorted(s):
-        if degs[v] % (2 * witness.q) != (d + witness.q * labels[v]) % (2 * witness.q):
+        deg = (adj[v] & inside).bit_count()
+        labels[v] = (deg - d) // witness.q % 2
+        if deg % (2 * witness.q) != (d + witness.q * labels[v]) % (2 * witness.q):
             raise InternalInvariantError("top-bit label failed its defining congruence")
     return TopBitLabel(base_lift=d, q=witness.q, labels=labels)
 

@@ -11,6 +11,11 @@ that line; the reference failed later, or with a names-count error.
 
 A headed edge list is read in chunks; the chunk size is shrunk here so that
 chunk boundaries fall between, before and after every kind of line.
+
+``Graph.from_edges`` sets both directions of an edge only up to a switch
+(N²/32 edges, N the vertex count rounded up to a power of two), then one
+direction, and closes the rows with A | Aᵀ through a tiled transpose; the
+fill is compared on both sides of the switch and across tile boundaries.
 """
 
 import io
@@ -18,6 +23,7 @@ import random
 import re
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -229,10 +235,14 @@ def test_header_fix_is_the_only_bad_count_case():
 NON_CANONICAL = [
     "1\t2", " 1 2", "1 2 ", "1  2", "01 2", "+2 1", "1\x0b2", "1\x1c2", "1\u00a02", "1\u20282",
     "1 2\r", "# comment", "1 2 # note", "1 2#x", "", "   ", "\t",
+    # Not ASCII, so never canonical: Arabic-Indic one (``int`` reads it as 1),
+    # NEL and the ideographic space (``str.split`` whitespace).
+    "\u0661 2", "1\x852", "1\u30002",
 ]
 # Lines after an ``n 6`` header that the reference rejects.
 DEFECTS = [
     "1 6", "6 1", "3 3", "03 3", "-1 2", "a 1", "1 2 3", "1", "1 2.0", "n 6", "1 2\r3 4", "\u00e9 1",
+    "\ud800 1",  # a lone surrogate: no encoding of the chunk may raise on it
 ]
 
 
@@ -307,3 +317,122 @@ def test_canonical_chunks_skip_the_line_by_line_path(monkeypatch):
     text = "n 1000\n" + "\n".join(body[:100] + ["7\t8"] + body[100:])
     assert outcome(load_graph, text) == outcome(ref.load_edge_list, text)
     assert calls == [1000, 1000]
+
+
+def test_non_ascii_lines_match_reference_in_every_chunk():
+    """Each non-ASCII line, canonical chunks around it, at every chunk size."""
+    body = canonical_lines(6, 12, random.Random(44))
+    for line in ("\u0661 2", "1\x852", "1\u30002", "\ud800 1"):
+        for chunk in (1, 5, 16, 40, 1 << 16):
+            for index in (0, 6, 12):
+                text = "\n".join(["n 6"] + body[:index] + [line] + body[index:]) + "\n"
+                new, old = chunked_outcomes(text, chunk)
+                assert new == old, (line, chunk, index)
+                assert new[0] == ("error" if line.startswith("\ud800") else "graph")
+
+
+def test_dense_headed_parse_crosses_the_switch_without_the_line_path(monkeypatch):
+    """G(600, 1/2) passes the one-direction switch (32,768 edges for n = 600)
+    with every chunk canonical."""
+    calls, closures = [], []
+    real_numbered, real_symmetrize = graph_module._numbered_edges, graph_module._symmetrize
+    monkeypatch.setattr(graph_module, "_numbered_edges", lambda lines, n: calls.append(n) or real_numbered(lines, n))
+    monkeypatch.setattr(graph_module, "_symmetrize", lambda rows, tile: closures.append(tile) or real_symmetrize(rows, tile))
+    rnd = random.Random(45)
+    pairs = edge_pairs(600, 0.5, rnd)
+    assert len(pairs) > 1024 * 1024 >> 5
+    text = "n 600\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    assert outcome(load_graph, text) == outcome(ref.load_edge_list, text)
+    assert calls == []
+    assert closures == [1024]
+
+
+def _switch(n: int) -> int:
+    side = 1 << max(n - 1, 0).bit_length()
+    return side * side >> 5
+
+
+def _random_pairs(n: int, m: int, rnd: random.Random) -> list[tuple[int, int]]:
+    """``m`` random pairs u != v, duplicates and both orientations included."""
+    pairs: list[tuple[int, int]] = []
+    while len(pairs) < m:
+        k = m - len(pairs) + 8
+        pairs += [(u, v) for u, v in zip(rnd.choices(range(n), k=k), rnd.choices(range(n), k=k)) if u != v]
+    return pairs[:m]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 31, 32, 33, 1023, 1024, 1025, 2049])
+def test_one_direction_fill_matches_reference(n):
+    """Edge counts just below, at, just above and far above the switch."""
+    rnd = random.Random(n)
+    switch = _switch(n)
+    far = 2 * switch + 64
+    pairs = _random_pairs(n, far, rnd) if n > 1 else []
+    for m in sorted({max(switch - 1, 0), switch, switch + 1, far}):
+        if m > len(pairs):
+            continue
+        new = Graph.from_edges(n, iter(pairs[:m]))
+        old = ref.RefGraph.from_edges(n, pairs[:m])
+        assert new.adj_masks == old.adj_masks, (n, m)
+    if n <= 33:
+        assert_same_graph(Graph.from_edges(n, iter(pairs)), ref.RefGraph.from_edges(n, pairs))
+
+
+@pytest.mark.parametrize("n", [9, 33, 1025])
+def test_duplicates_after_the_switch_match_reference(n):
+    rnd = random.Random(n + 1)
+    switch = _switch(n)
+    pairs = _random_pairs(n, switch + 8, rnd)
+    again = rnd.sample(pairs, min(len(pairs), 200))
+    pairs += [(v, u) for u, v in again] + again + [(v, u) for u, v in pairs[:50]]
+    assert Graph.from_edges(n, iter(pairs)).adj_masks == ref.RefGraph.from_edges(n, pairs).adj_masks
+
+
+@pytest.mark.parametrize("n", [2, 9, 33, 1025])
+def test_bad_edges_after_the_switch_raise_as_the_reference(n):
+    rnd = random.Random(n + 2)
+    head = _random_pairs(n, _switch(n) + 3, rnd)
+    for bad in ((1, 1), (0, n), (n, n), (-1, 0), (0, -1)):
+        outcomes = []
+        for build in (Graph.from_edges, ref.RefGraph.from_edges):
+            with pytest.raises(ValueError) as err:
+                build(n, iter(head + [bad] + head[:3]))
+            outcomes.append(str(err.value))
+        assert outcomes[0] == outcomes[1], (n, bad)
+
+
+@pytest.mark.parametrize("tile", [8, 16])
+def test_small_tiles_match_reference(tile, monkeypatch):
+    """Many tiles per row, with a ragged last one, through the public builder."""
+    monkeypatch.setattr(graph_module, "_TILE", tile)
+    rnd = random.Random(tile)
+    for n in (9, 17, 40, 100):
+        pairs = _random_pairs(n, 3 * _switch(n) + 10, rnd)
+        assert Graph.from_edges(n, iter(pairs)).adj_masks == ref.RefGraph.from_edges(n, pairs).adj_masks
+
+
+def _naive_transpose(x: int, side: int) -> int:
+    out = 0
+    for r in range(side):
+        for c in range(side):
+            if x >> (r * side + c) & 1:
+                out |= 1 << (c * side + r)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([8, 16, 32, 64]), st.randoms(use_true_random=False), st.floats(0.0, 1.0))
+def test_tiled_transpose_matches_naive(side, rnd, p):
+    x = sum(1 << i for i in range(side * side) if rnd.random() < p)
+    assert graph_module._transpose(x, side) == _naive_transpose(x, side)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([8, 16]), st.randoms(use_true_random=False))
+def test_symmetrize_is_a_or_a_transposed(n, tile, rnd):
+    width = -(-n // tile) * tile >> 3
+    masks = [rnd.getrandbits(n) for _ in range(n)]
+    rows = [bytearray(mask.to_bytes(width, "little")) for mask in masks]
+    graph_module._symmetrize(rows, tile)
+    want = [masks[r] | sum(1 << c for c in range(n) if masks[c] >> r & 1) for r in range(n)]
+    assert [int.from_bytes(row, "little") for row in rows] == want

@@ -9,7 +9,7 @@ from modcert.errors import InternalInvariantError
 from modcert.gf2 import BitVector
 from modcert.graph import induced_degrees
 from modcert.parity import two_modular_part
-from modcert.synth import twin_pair_example
+from modcert.synth import realize_problem, twin_pair_example
 from modcert.witness import (
     ModularWitness,
     Regular,
@@ -118,6 +118,24 @@ class TestTopBitLabel:
         a = quotient_coords(BitVector.from_bits(canonical))
         b = quotient_coords(BitVector.from_bits(shifted))
         assert a == b
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_labels_match_degrees_over_the_whole_witness(self, seed):
+        """Labels read the induced degrees of the whole witness, as they did
+        when every witness member's degree was computed first."""
+        rng = random.Random(seed)
+        m, q = rng.choice((3, 4, 5, 6)), rng.choice((2, 4))
+        masks = rng.sample(range(1, 1 << m), rng.randint(1, min(6, (1 << m) - 1)))
+        problem = realize_problem(m, q, masks, rng.getrandbits(m))
+        assert problem is not None
+        w = problem.witness
+        degs = induced_degrees(w.graph, w.members)
+        d = w.residue if w.residue is not None else 0
+        subsets = [problem.core, w.members, rng.sample(sorted(w.members), len(w.members) // 2)]
+        for subset in subsets:
+            label = top_bit_label(w, subset)
+            assert label.labels == {v: (degs[v] - d) // q % 2 for v in sorted(subset)}
+            assert (label.base_lift, label.q) == (d, q)
 
     def test_subset_must_be_inside_witness(self):
         w = ModularWitness.build(cycle(4), {0, 1}, 2)
