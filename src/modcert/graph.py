@@ -58,8 +58,7 @@ class Graph(_GraphFields):
         if len(name_tuple) != n:
             raise ValueError(f"expected {n} names, got {len(name_tuple)}")
         side = 1 << max(n - 1, 0).bit_length()
-        tile = min(max(side, 8), _TILE)
-        rows = [bytearray(-(-n // tile) * tile >> 3) for _ in range(n)]
+        rows = [bytearray((n + 7) >> 3) for _ in range(n)]
         byte = [v >> 3 for v in range(n)]
         bit = [1 << (v & 7) for v in range(n)]
         edges = iter(edges)
@@ -74,7 +73,7 @@ class Graph(_GraphFields):
                 if u == v or not (0 <= u < n and 0 <= v < n):
                     raise _edge_error(u, v, n)
                 rows[u][byte[v]] |= bit[v]
-            _symmetrize(rows, tile)
+            _symmetrize(rows)
         masks = tuple(int.from_bytes(row, "little") for row in rows)
         return cls(n=n, names=name_tuple, adj_masks=masks)
 
@@ -130,17 +129,22 @@ def _edge_error(u: int, v: int, n: int) -> ValueError:
     return ValueError(f"self-loop at vertex {u}")
 
 
-def _symmetrize(rows: list[bytearray], tile: int) -> None:
-    """Replace the bit matrix A in ``rows`` by A | Aᵀ, in place.
+def _symmetrize(rows: list[bytearray]) -> None:
+    """Replace the square bit matrix A in ``rows`` by A | Aᵀ, in place.
 
-    Bit c of row r is byte c >> 3, bit c & 7 of ``rows[r]``; every row is a
-    whole number of ``tile``-bit tiles wide.  Tiles (i, j) and (j, i) are
-    rewritten together from X = A[i, j] | A[j, i]ᵀ and Xᵀ, so only tiles not
-    yet rewritten are read, and besides the rows only a few tile-sized
-    integers are live at a time.
+    Bit c of row r is byte c >> 3, bit c & 7 of ``rows[r]``.  The rows are
+    first padded with zero bytes to a whole number of tiles, which leaves
+    their integer values alone.  Tiles (i, j) and (j, i) are rewritten
+    together from X = A[i, j] | A[j, i]ᵀ and Xᵀ, so only tiles not yet
+    rewritten are read, and besides the rows only a few tile-sized integers
+    are live at a time.
     """
     n = len(rows)
+    tile = min(max(1 << max(n - 1, 0).bit_length(), 8), _TILE)
     width = tile >> 3
+    pad = bytes(-(-n // tile) * width - ((n + 7) >> 3))
+    for row in rows:
+        row += pad
 
     def read(top: int, left: int) -> int:
         lo = left >> 3
