@@ -284,19 +284,19 @@ def _numbered_chunks(stream: IO[str], n: int, lineno: int) -> Iterator[Iterable[
 def _canonical_edges(chunk: str, ids: dict[str, int]) -> zip | None:
     """The id pairs of a chunk whose every line is canonical ``u v``, else None.
 
-    Deleting the decimal digits from an ASCII chunk of 2k or 2k + 1 tokens
-    leaves k copies of ``" \\n"`` exactly when it is k lines ``a b`` of
-    digits with one space between and a newline after.  That check runs in
-    C: one ``isascii``, one ``encode`` (which cannot fail on ASCII) and one
-    ``translate``.  ``ids`` holds only the default names, so a lookup fails
-    on ``01``, ``+2`` or an id out of range.  A chunk of fewer than two
-    tokens goes line by line, so ``itemgetter`` gets at least two.
+    An ASCII chunk that ends in a newline, with its decimal digits deleted,
+    is k copies of ``" \\n"`` and splits into 2k or 2k + 1 tokens exactly
+    when it is k lines ``a b`` of digits with one space between: its 2k
+    digit runs must then all be nonempty.  The check runs in C: one
+    ``isascii``, one ``encode`` (which cannot fail on ASCII) and one
+    ``translate``; it fails on a chunk without tokens, so ``itemgetter``
+    gets at least two.  ``ids`` holds only the default names, so a lookup
+    fails on ``01``, ``+2`` or an id out of range.
     """
-    if not chunk.isascii():
+    if not chunk.isascii() or chunk[-1] != "\n":
         return None
     tokens = chunk.split()
-    lines = len(tokens) >> 1
-    if not lines or chunk.encode("ascii").translate(None, b"0123456789") != b" \n" * lines:
+    if chunk.encode("ascii").translate(None, b"0123456789") != b" \n" * (len(tokens) >> 1):
         return None
     try:
         ends = itemgetter(*tokens)(ids)

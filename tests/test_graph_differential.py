@@ -20,6 +20,7 @@ fill is compared on both sides of the switch and across tile boundaries.
 
 import io
 import random
+from itertools import product
 import re
 from unittest import mock
 
@@ -331,6 +332,19 @@ def test_non_ascii_lines_match_reference_in_every_chunk():
                 assert new[0] == ("error" if line.startswith("\ud800") else "graph")
 
 
+def test_every_short_body_matches_reference():
+    """Every body of up to six characters over ``1``, ``2``, space and
+    newline after an ``n 20`` header, whole and in small chunks.  Among them
+    are ``12`` and ``1 \\n2 1\\n2`` with no final newline, whose digit-free
+    rest looks like whole canonical lines."""
+    for size in range(7):
+        for chars in product("12 \n", repeat=size):
+            body = "".join(chars)
+            for chunk in (1, 3, 1 << 16):
+                new, old = chunked_outcomes("n 20\n" + body, chunk)
+                assert new == old, (body, chunk)
+
+
 def test_dense_headed_parse_crosses_the_switch_without_the_line_path(monkeypatch):
     """G(600, 1/2) passes the one-direction switch (32,768 edges for n = 600)
     with every chunk canonical."""
@@ -340,7 +354,7 @@ def test_dense_headed_parse_crosses_the_switch_without_the_line_path(monkeypatch
     monkeypatch.setattr(graph_module, "_symmetrize", lambda rows: closures.append(len(rows)) or real_symmetrize(rows))
     rnd = random.Random(45)
     pairs = edge_pairs(600, 0.5, rnd)
-    assert len(pairs) > 1024 * 1024 >> 5
+    assert len(pairs) > _switch(600)
     text = "n 600\n" + "".join(f"{u} {v}\n" for u, v in pairs)
     assert outcome(load_graph, text) == outcome(ref.load_edge_list, text)
     assert calls == []
