@@ -17,17 +17,10 @@ from __future__ import annotations
 from typing import NamedTuple, Union
 
 from .errors import InternalInvariantError
-from .gf2 import BitMatrix, BitVector, Dual, Solution, pivot_columns, solve_or_dual
-from .graph import check_subset, mask_of
+from .gf2 import BitMatrix, Dual, Solution, pivot_columns, solve_or_dual
+from .graph import bits_of, check_subset, mask_of
 from .traces import PairTraceView, TraceTable, compute_traces, split_witness
-from .witness import (
-    ModularWitness,
-    TopBitLabel,
-    is_q_modular,
-    quotient_coords,
-    quotient_matrix,
-    top_bit_label,
-)
+from .witness import ModularWitness, TopBitLabel, is_q_modular, quotient_matrix, top_bit_label
 
 SCHEMA_VERSION = "modcert-v1"
 
@@ -58,9 +51,6 @@ class AbsorptionProblem(NamedTuple):
     @property
     def graph(self):
         return self.witness.graph
-
-    def label_bits(self) -> BitVector:
-        return self.label.bits_over(self.core)
 
 
 class DeletionCertificate(NamedTuple):
@@ -93,57 +83,53 @@ class TraceSelection(NamedTuple):
     deletions: tuple[tuple[int, ...], ...]
 
 
-class CutPositions(NamedTuple):
-    positions: tuple[int, ...]
-
-
 def trace_class_matrix(table: TraceTable, q: int) -> tuple[list[int], BitMatrix]:
     """Quotient coordinates of the available trace classes, one column per mask."""
     masks = table.available_masks(q)
-    return masks, quotient_matrix(masks, table.size)
+    return masks, quotient_matrix(masks, table.core)[0]
 
 
-def solve_defect(table: TraceTable, q: int, label_bits: BitVector) -> Union[TraceSelection, CutPositions]:
+def solve_defect(table: TraceTable, q: int, label_mask: int) -> Union[TraceSelection, int]:
     """Table-level core correction: choose q-tuples or produce a cut.
 
-    Works on trace data alone (no graph needed), so it also serves sampled
-    reservoirs.  Deterministic: columns in mask order, elimination pivots on
-    the lowest available row, free variables zero, q lowest realizers per
-    chosen trace.  A cut is checked before it is returned.
+    ``label_mask`` holds the core vertices labeled 1; a cut is returned as a
+    vertex-id mask.  Works on trace data alone (no graph needed), so it also
+    serves sampled reservoirs.  Deterministic: columns in mask order,
+    elimination pivots on the lowest available row, free variables zero, q
+    lowest realizers per chosen trace.  A cut is checked before it is
+    returned.
     """
     if table.size < 1:
         raise ValueError("core must be nonempty")
-    if label_bits.length != table.size:
-        raise ValueError("label length does not match core size")
     if q < 1 or q & (q - 1):
         raise ValueError(f"q must be a positive power of two, got {q}")
     masks, matrix = trace_class_matrix(table, q)
-    target = quotient_coords(label_bits)
+    _, target = quotient_matrix((), table.core, label_mask)
     outcome = solve_or_dual(matrix, target)
     if isinstance(outcome, Solution):
         chosen = [masks[j] for j in range(len(masks)) if outcome.x.bits >> j & 1]
         deletions = tuple(table.entries[mask][:q] for mask in chosen)
         return TraceSelection(masks=tuple(chosen), deletions=deletions)
-    return _cut_from_dual(table, outcome, label_bits, q)
+    return _cut_from_dual(table, outcome, label_mask, q)
 
 
-def _cut_from_dual(table: TraceTable, dual: Dual, label_bits: BitVector, q: int) -> CutPositions:
-    # Row i of the system is core position i+1 (position 0 is the base).
-    cut_mask = dual.y.bits << 1
+def _cut_from_dual(table: TraceTable, dual: Dual, label_mask: int, q: int) -> int:
+    # Row i of the system is core vertex core[i + 1]; core[0] is the base.
+    cut_mask = mask_of(table.core[i + 1] for i in bits_of(dual.y.bits))
     if cut_mask.bit_count() % 2:
-        cut_mask |= 1
-    reason = _cut_failure(table, q, label_bits, cut_mask)
+        cut_mask |= 1 << table.core[0]
+    reason = _cut_failure(table, q, label_mask, cut_mask)
     if reason is not None:
         raise InternalInvariantError(reason)
-    return CutPositions(positions=tuple(p for p in range(table.size) if cut_mask >> p & 1))
+    return cut_mask
 
 
-def _cut_failure(table: TraceTable, q: int, label_bits: BitVector, cut_mask: int) -> str | None:
-    """Why a set of core positions (a mask) is not a parity cut, or None if it is."""
+def _cut_failure(table: TraceTable, q: int, label_mask: int, cut_mask: int) -> str | None:
+    """Why a set of core vertices (a mask) is not a parity cut, or None if it is."""
     size = cut_mask.bit_count()
     if size == 0 or size % 2:
         return "parity cut must be nonempty and even"
-    if (label_bits.bits & cut_mask).bit_count() % 2 == 0:
+    if (label_mask & cut_mask).bit_count() % 2 == 0:
         return "parity cut fails to detect the defect"
     for mask in table.available_masks(q):
         if (mask & cut_mask).bit_count() % 2:
@@ -157,14 +143,9 @@ def solve_core_correction(problem: AbsorptionProblem) -> Certificate:
     ``solve_defect`` checks the cut; a deletion is rechecked here by
     physically deleting its q-tuples.
     """
-    outcome = solve_defect(problem.table, problem.q, problem.label_bits())
-    if isinstance(outcome, CutPositions):
-        return ParityCut(
-            q=problem.q,
-            lift=problem.lift,
-            core=problem.core,
-            members=tuple(problem.core[p] for p in outcome.positions),
-        )
+    outcome = solve_defect(problem.table, problem.q, problem.label.mask())
+    if not isinstance(outcome, TraceSelection):
+        return ParityCut(q=problem.q, lift=problem.lift, core=problem.core, members=tuple(bits_of(outcome)))
     chosen = tuple(
         (problem.table.members_of(mask), deletion)
         for mask, deletion in zip(outcome.masks, outcome.deletions)
@@ -201,7 +182,7 @@ def _deletion_outcome(problem: AbsorptionProblem, cert: DeletionCertificate) -> 
     _check_problem_claims(problem, cert)
     graph = problem.graph
     core_mask = mask_of(problem.core)
-    tail = set(problem.table.tail_vertices())
+    tail = problem.witness.members.difference(problem.core)
     deleted: set[int] = set()
     traces_hold = True
     for trace_members, tuple_members in cert.chosen:
@@ -258,8 +239,7 @@ def verify_parity_cut(problem: AbsorptionProblem, members) -> bool:
     cut_set = check_subset(problem.graph, members)
     if not cut_set <= set(problem.core):
         raise ValueError("parity cut must be a subset of the core")
-    cut_mask = mask_of(problem.table.position_of(u) for u in cut_set)
-    return _cut_failure(problem.table, problem.q, problem.label_bits(), cut_mask) is None
+    return _cut_failure(problem.table, problem.q, problem.label.mask(), mask_of(cut_set)) is None
 
 
 def all_tail_identity_check(problem: AbsorptionProblem) -> str | None:
@@ -278,9 +258,7 @@ def all_tail_identity_check(problem: AbsorptionProblem) -> str | None:
     for mask in problem.table.masks():
         if (problem.table.count(mask) // q) % 2:
             acc ^= mask
-    defect = quotient_coords(problem.label_bits())
-    achieved = quotient_coords(BitVector(problem.table.size, acc))
-    if defect != achieved:
+    if acc ^ problem.label.mask() not in (0, mask_of(problem.core)):
         return "block-parity sum of trace classes misses the top-bit defect"
     check = is_q_modular(problem.graph, problem.core, 2 * q)
     if not check.modular:
@@ -385,23 +363,21 @@ def basis_tail_check(
     u0 = core[0] if base_vertex is None else base_vertex
     if u0 not in core:
         raise ValueError(f"base vertex {u0} is not in the core")
-    u0_pos = problem.table.position_of(u0)
     labels = problem.label.labels
-    singleton_counts = {pos: 0 for pos in range(len(core))}
+    singleton_counts = dict.fromkeys(core, 0)
     remainder_acc = 0
     for mask, _members in blocks:
-        if mask.bit_count() == 1 and mask != 1 << u0_pos:
+        if mask.bit_count() == 1 and mask != 1 << u0:
             singleton_counts[mask.bit_length() - 1] += 1
         else:
             remainder_acc ^= mask
-    for pos, u in enumerate(core):
+    for u in core:
         if u == u0:
             continue
         expected = (labels[u] + labels[u0]) % 2
-        if singleton_counts[pos] % 2 != expected:
+        if singleton_counts[u] % 2 != expected:
             return f"singleton-block count at vertex {u} has the wrong parity"
-    full = (1 << len(core)) - 1
-    if remainder_acc not in (0, full):
+    if remainder_acc not in (0, mask_of(core)):
         return "remaining block traces do not cancel in the quotient"
     check = is_q_modular(problem.graph, problem.core, 2 * problem.q)
     if not check.modular:
@@ -414,7 +390,8 @@ def basis_tail_check(
 def _validate_blocks(problem: AbsorptionProblem, blocks) -> None:
     q = problem.q
     seen: set[int] = set()
-    tail = set(problem.table.tail_vertices())
+    tail = problem.witness.members.difference(problem.core)
+    adj, core_mask = problem.graph.adj_masks, mask_of(problem.core)
     for mask, members in blocks:
         if len(members) != q:
             raise ValueError(f"block {members} does not have size q={q}")
@@ -424,7 +401,7 @@ def _validate_blocks(problem: AbsorptionProblem, blocks) -> None:
             if v not in tail:
                 raise ValueError(f"block vertex {v} is not a tail vertex")
             seen.add(v)
-            if v not in problem.table.entries.get(mask, ()):
+            if adj[v] & core_mask != mask:
                 raise ValueError(f"vertex {v} does not have the block's declared trace")
     if seen != tail:
         raise ValueError("blocks must partition the whole tail")
@@ -461,7 +438,8 @@ def certificate_from_json(payload, ids_of) -> Certificate:
     """Parse the wire format back; ``ids_of`` maps name lists to id lists.
 
     A payload of the wrong shape (not an object, a field missing or of the
-    wrong JSON type) raises ValueError, as does an unknown version or kind.
+    wrong JSON type, a vertex name listed twice) raises ValueError, as does
+    an unknown version or kind.
     """
     if not isinstance(payload, dict):
         raise ValueError("certificate must be a JSON object")
@@ -506,4 +484,6 @@ def _json_names(payload: dict, key: str) -> list[str]:
     value = payload.get(key)
     if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
         raise ValueError(f"certificate needs a list of vertex names in {key!r}")
+    if len(set(value)) != len(value):
+        raise ValueError(f"certificate repeats a vertex name in {key!r}")
     return value

@@ -78,7 +78,7 @@ class Graph(_GraphFields):
         return cls(n=n, names=name_tuple, adj_masks=masks)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.adj_masks[v]))
+        return tuple(bits_of(self.adj_masks[v]))
 
     def degree(self, v: int) -> int:
         return self.adj_masks[v].bit_count()
@@ -93,7 +93,7 @@ class Graph(_GraphFields):
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             above = u + 1
-            for v in _bits(self.adj_masks[u] >> above):
+            for v in bits_of(self.adj_masks[u] >> above):
                 yield (u, above + v)
 
     def edge_count(self) -> int:
@@ -186,7 +186,8 @@ def _transpose(x: int, side: int) -> int:
     return x
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bits_of(mask: int) -> Iterator[int]:
+    """The vertices of a mask, lowest first; the inverse of :func:`mask_of`."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

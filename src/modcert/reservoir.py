@@ -185,12 +185,12 @@ def uniform_basis(core_size: int) -> tuple[tuple[int, ...], float]:
 def _verify_basis(core_size: int, basis: Sequence[int]) -> None:
     if len(basis) != core_size - 1:
         raise ValueError(f"basis must have {core_size - 1} traces, got {len(basis)}")
-    if rank(quotient_matrix(basis, core_size)) != core_size - 1:
+    if rank(quotient_matrix(basis, range(core_size))[0]) != core_size - 1:
         raise ValueError("declared basis traces do not span the quotient")
 
 
 def _spans(core_size: int, masks: Sequence[int]) -> bool:
-    return rank(quotient_matrix(masks, core_size)) == core_size - 1
+    return rank(quotient_matrix(masks, range(core_size))[0]) == core_size - 1
 
 
 class AvailabilityReport(NamedTuple):

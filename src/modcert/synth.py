@@ -27,9 +27,8 @@ from typing import Iterable, Iterator
 
 from .absorb import AbsorptionProblem, twin_tail_decompose
 from .errors import InternalInvariantError
-from .gf2 import BitVector
-from .graph import Graph
-from .witness import ModularWitness, quotient_coords
+from .graph import Graph, bits_of
+from .witness import ModularWitness
 
 
 def realize_problem(
@@ -40,9 +39,11 @@ def realize_problem(
 ) -> AbsorptionProblem | None:
     """Realize (core size, q, available trace masks, label) as a graph problem.
 
-    Trace masks use bit i for the i-th core vertex; the label is matched up
-    to a constant flip (the class in the quotient is what matters).  Returns
-    None when no realization is found in the construction family.
+    The core is vertices 0..m-1, so bit i of a trace mask or of the label
+    is core vertex i, both as a vertex id and as a core position; tail and
+    helper vertices come after it.  The label is matched up to a constant
+    flip (the class in the quotient is what matters).  Returns None when no
+    realization is found in the construction family.
     """
     if m < 1:
         raise ValueError(f"core size must be >= 1, got {m}")
@@ -66,16 +67,10 @@ def realize_problem(
                 realized = set(problem.table.available_masks(q)) - {0}
                 if realized != set(requested):
                     continue
-                want = quotient_coords(BitVector(m, label_bits))
-                got = quotient_coords(problem.label_bits())
-                if want != got:
+                if problem.label.mask() ^ label_bits not in (0, full):
                     continue
                 return problem
     return None
-
-
-def _positions(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _paired_plans(
@@ -129,24 +124,24 @@ def _candidate_plans(
         base[full] = c0
 
     if gamma.bit_count() % 2 == 0:
-        yield from _paired_plans(base, _positions(gamma), q, available)
+        yield from _paired_plans(base, list(bits_of(gamma)), q, available)
         return
     # Odd defect count: spend q copies of an odd trace to flip the parity.
     for odd_mask in sorted(a for a in available if a.bit_count() % 2):
         prefix = dict(base)
         prefix[odd_mask] = prefix.get(odd_mask, 0) + q
-        yield from _paired_plans(prefix, _positions(gamma ^ odd_mask), q, available)
+        yield from _paired_plans(prefix, list(bits_of(gamma ^ odd_mask)), q, available)
     # Ascending and lazy: the range has 2^m masks.
     for odd_mask in range(1, full + 1):
         if odd_mask.bit_count() % 2 == 0 or odd_mask.bit_count() < 3 or odd_mask in available:
             continue
-        for z in _positions(odd_mask):
+        for z in bits_of(odd_mask):
             prefix = dict(base)
             prefix[odd_mask] = prefix.get(odd_mask, 0) + q - 1
             reduced = odd_mask ^ (1 << z)
             prefix[reduced] = prefix.get(reduced, 0) + 1
             prefix[1 << z] = prefix.get(1 << z, 0) + 1
-            yield from _paired_plans(prefix, _positions(gamma ^ odd_mask), q, available)
+            yield from _paired_plans(prefix, list(bits_of(gamma ^ odd_mask)), q, available)
 
 
 def _caps_ok(plan: dict[int, int], q: int, available: list[int]) -> bool:
@@ -185,7 +180,7 @@ def _build_instance(
     tail_start = m
     for offset, mask in enumerate(tail_traces):
         x = tail_start + offset
-        for u in _positions(mask):
+        for u in bits_of(mask):
             edges.append((x, u))
 
     next_id = tail_start + len(tail_traces)

@@ -1,11 +1,12 @@
 """Trace tables over a fixed core and the exact deletion-tail obstruction.
 
-The trace of a tail vertex is its neighborhood inside the core, stored as a
-bit-mask over the core's sorted vertex ids.  The per-core-vertex tail counts
-determine the obstruction to lifting a degree congruence one bit: modulo
-constant vectors the obstruction is controlled by the oriented differences
-n_B - n_{complement}, never by complement sums (those double-count the
-constant part and produce phantom obstructions).
+The trace of a tail vertex x is N(x) ∩ U, its neighborhood inside the core
+U, stored as a bit-mask over vertex ids like the graph's adjacency masks.
+The per-core-vertex tail counts determine the obstruction to lifting a
+degree congruence one bit: modulo constant vectors the obstruction is
+controlled by the oriented differences n_B - n_{complement}, never by
+complement sums (those double-count the constant part and produce phantom
+obstructions).
 """
 
 from __future__ import annotations
@@ -15,16 +16,16 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import InternalInvariantError
 from .gf2 import BitVector
-from .graph import Graph, check_subset, mask_of
-from .witness import quotient_coords
+from .graph import Graph, bits_of, check_subset, mask_of
+from .witness import quotient_coords, quotient_matrix
 
 
 class TraceTable(NamedTuple):
     """Multiplicities and realizers of every trace occurring in a tail.
 
-    ``entries`` maps a trace mask (bit i set = i-th smallest core vertex is a
-    neighbor) to the sorted tail vertices realizing it; absent masks have
-    multiplicity zero.
+    ``entries`` maps a trace mask (bit v set = core vertex v is a neighbor)
+    to the sorted tail vertices realizing it, in the order of their first
+    realizer; absent masks have multiplicity zero.  ``core`` is sorted.
     """
 
     core: tuple[int, ...]
@@ -40,9 +41,6 @@ class TraceTable(NamedTuple):
     def tail_size(self) -> int:
         return sum(len(r) for r in self.entries.values())
 
-    def tail_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(v for r in self.entries.values() for v in r))
-
     def masks(self) -> list[int]:
         return sorted(self.entries)
 
@@ -50,11 +48,8 @@ class TraceTable(NamedTuple):
         """Masks whose multiplicity supports at least one q-tuple deletion."""
         return sorted(m for m, r in self.entries.items() if len(r) >= q)
 
-    def position_of(self, vertex: int) -> int:
-        return self.core.index(vertex)
-
     def members_of(self, mask: int) -> tuple[int, ...]:
-        return tuple(self.core[i] for i in range(self.size) if mask >> i & 1)
+        return tuple(bits_of(mask))
 
     def to_json_dict(self, name_of: Callable[[int], str] = str) -> dict:
         return {
@@ -88,28 +83,12 @@ def compute_traces(graph: Graph, core, tail) -> TraceTable:
     tail_set = check_subset(graph, tail)
     if core_set & tail_set:
         raise ValueError("core and tail must be disjoint")
-    core_sorted = tuple(sorted(core_set))
     core_mask = mask_of(core_set)
     adj = graph.adj_masks
-    # Tail vertices with one trace share one neighborhood in the core, so
-    # the tail is grouped by neighborhood first and each distinct one is
-    # mapped to core positions once.  Distinct neighborhoods give distinct
-    # masks, in the order of their first realizer either way.
     grouped: dict[int, list[int]] = defaultdict(list)
     for x in sorted(tail_set):
         grouped[adj[x] & core_mask].append(x)
-    vertex_bit = {v: 1 << v for v in core_sorted}
-    position_bit = {v: 1 << i for i, v in enumerate(core_sorted)}
-    entries = {}
-    for neighbors, realizers in grouped.items():
-        mask = 0
-        # Clearing the top bit shrinks the integer; the lowest bit would not.
-        while neighbors:
-            top = neighbors.bit_length() - 1
-            mask |= position_bit[top]
-            neighbors ^= vertex_bit[top]
-        entries[mask] = tuple(realizers)
-    return TraceTable(core=core_sorted, entries=entries)
+    return TraceTable(core=tuple(sorted(core_set)), entries={m: tuple(r) for m, r in grouped.items()})
 
 
 def tail_degrees(table: TraceTable) -> tuple[int, ...]:
@@ -118,18 +97,16 @@ def tail_degrees(table: TraceTable) -> tuple[int, ...]:
     Equals the sum of n_B over the traces containing the vertex, which is the
     same as counting tail neighbors directly.
     """
-    out = [0] * table.size
+    out = dict.fromkeys(table.core, 0)
     for mask, realizers in table.entries.items():
-        count = len(realizers)
-        for i in range(table.size):
-            if mask >> i & 1:
-                out[i] += count
-    return tuple(out)
+        for v in table.members_of(mask):
+            out[v] += len(realizers)
+    return tuple(out.values())
 
 
 def _orbit_representatives(table: TraceTable) -> list[int]:
     """One mask per complement orbit, excluding {empty, full}; smaller mask wins."""
-    full = (1 << table.size) - 1
+    full = mask_of(table.core)
     reps = set()
     for mask in table.entries:
         if mask in (0, full):
@@ -148,18 +125,16 @@ def complement_difference(table: TraceTable) -> tuple[tuple[int, ...], BitVector
     """
     if table.size < 1:
         raise ValueError("core must be nonempty")
-    full = (1 << table.size) - 1
-    vector = [0] * table.size
+    full = mask_of(table.core)
+    by_vertex = dict.fromkeys(table.core, 0)
     for rep in _orbit_representatives(table):
         diff = table.count(rep) - table.count(full ^ rep)
-        for i in range(table.size):
-            if rep >> i & 1:
-                vector[i] += diff
-    rho = tail_degrees(table)
-    deltas = {rho[i] - vector[i] for i in range(table.size)}
-    if len(deltas) != 1:
+        for v in table.members_of(rep):
+            by_vertex[v] += diff
+    vector = tuple(by_vertex.values())
+    if len({r - x for r, x in zip(tail_degrees(table), vector)}) != 1:
         raise InternalInvariantError("oriented-difference representative is not a constant shift of the tail counts")
-    return tuple(vector), quotient_coords(BitVector.from_bits(vector))
+    return vector, quotient_coords(BitVector.from_bits(vector))
 
 
 def next_bit_obstruction(rho: Sequence[int], m: int) -> BitVector | None:
@@ -192,7 +167,7 @@ def oriented_orbit_form(table: TraceTable, m: int) -> BitVector | None:
     if m < 0:
         raise ValueError(f"bit index must be >= 0, got {m}")
     modulus = 1 << m
-    full = (1 << table.size) - 1
+    full = mask_of(table.core)
     acc = 0
     for rep in _orbit_representatives(table):
         diff = table.count(rep) - table.count(full ^ rep)
@@ -200,7 +175,7 @@ def oriented_orbit_form(table: TraceTable, m: int) -> BitVector | None:
             return None
         if (diff // modulus) % 2:
             acc ^= rep
-    coords = quotient_coords(BitVector(table.size, acc))
+    _, coords = quotient_matrix((), table.core, acc)
     if next_bit_obstruction(tail_degrees(table), m) != coords:
         raise InternalInvariantError("orbit-difference class disagrees with the direct tail-count class")
     return coords
@@ -223,10 +198,9 @@ def pair_trace_graph(table: TraceTable, q: int) -> PairTraceView:
         raise ValueError("pair-trace graph needs a core of size >= 2")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    m = table.size
     available = table.available_masks(q)
     pairs = []
-    adj = [0] * m
+    adj = dict.fromkeys(table.core, 0)
     for mask in available:
         if mask.bit_count() == 2:
             i = (mask & -mask).bit_length() - 1
@@ -234,8 +208,8 @@ def pair_trace_graph(table: TraceTable, q: int) -> PairTraceView:
             pairs.append((i, j))
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    seen = 1
-    frontier = [0]
+    seen = 1 << table.core[0]
+    frontier = [table.core[0]]
     while frontier:
         v = frontier.pop()
         fresh = adj[v] & ~seen
@@ -244,10 +218,9 @@ def pair_trace_graph(table: TraceTable, q: int) -> PairTraceView:
             seen |= low
             frontier.append(low.bit_length() - 1)
             fresh ^= low
-    connected = seen == (1 << m) - 1
+    connected = seen == mask_of(table.core)
     odd_heavy = any(mask.bit_count() % 2 == 1 for mask in available)
-    edges = tuple((table.core[i], table.core[j]) for i, j in sorted(pairs))
-    return PairTraceView(edges=edges, connected=connected, has_odd_heavy_trace=odd_heavy)
+    return PairTraceView(edges=tuple(sorted(pairs)), connected=connected, has_odd_heavy_trace=odd_heavy)
 
 
 class TypePartition(NamedTuple):

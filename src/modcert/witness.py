@@ -6,7 +6,9 @@ degrees live in an interval shorter than q, so congruent means equal.  For a
 power-of-two modulus the residue lifts to modulo 2q with one extra bit per
 vertex, the top-bit label; everything downstream manipulates that label in
 the quotient of GF(2)^U by the constant vectors, whose coordinates relative
-to the first core position are computed here.
+to the lowest core vertex are computed here.  Subsets of the core are
+bit-masks over vertex ids; the quotient's rows are the only place where a
+core vertex's position in the sorted core matters.
 """
 
 from __future__ import annotations
@@ -108,8 +110,9 @@ class TopBitLabel(NamedTuple):
     q: int
     labels: dict[int, int]
 
-    def bits_over(self, core: tuple[int, ...]) -> BitVector:
-        return BitVector.from_bits(self.labels[v] for v in core)
+    def mask(self) -> int:
+        """The labeled vertices whose label is 1, as a vertex-id mask."""
+        return mask_of(v for v, bit in self.labels.items() if bit)
 
 
 def top_bit_label(witness: ModularWitness, members) -> TopBitLabel:
@@ -133,15 +136,6 @@ def top_bit_label(witness: ModularWitness, members) -> TopBitLabel:
     return TopBitLabel(base_lift=d, q=witness.q, labels=labels)
 
 
-def _quotient_bits(mask: int, full: int) -> int:
-    """Quotient coordinates of a mask relative to position 0, as an integer.
-
-    ``full`` has a bit for every position: the mask is complemented when it
-    holds position 0, then shifted past it.
-    """
-    return (mask ^ full if mask & 1 else mask) >> 1
-
-
 def quotient_coords(x: BitVector) -> BitVector:
     """Coordinates of a vector modulo the constant line, relative to entry 0.
 
@@ -150,29 +144,49 @@ def quotient_coords(x: BitVector) -> BitVector:
     """
     if x.length < 1:
         raise ValueError("quotient coordinates need a vector of length >= 1")
-    return BitVector(x.length - 1, _quotient_bits(x.bits, (1 << x.length) - 1))
+    bits = x.bits ^ (1 << x.length) - 1 if x.bits & 1 else x.bits
+    return BitVector(x.length - 1, bits >> 1)
 
 
-def quotient_matrix(masks, size: int) -> BitMatrix:
-    """Quotient coordinates of each mask, one column per mask.
+def quotient_matrix(masks, core, target: int = 0) -> tuple[BitMatrix, BitVector]:
+    """Quotient coordinates of vertex-id masks over ``core``, and of ``target``.
 
-    Column j is ``quotient_coords`` of mask j over a core of ``size``
-    positions.  Rows are filled byte-wise and converted once each.
+    ``core`` is sorted.  Coordinate i of a mask is its bit at core[i + 1]
+    plus its bit at the base core[0]; column j of the matrix holds mask j's
+    coordinates and the vector holds the target's.  Row i is thus the masks
+    holding core[i + 1], flipped in every column whose mask holds the base,
+    so only the masks' own bits are visited.  Rows are filled byte-wise and
+    converted once each.
     """
-    if size < 1:
-        raise ValueError(f"core size must be >= 1, got {size}")
-    full = (1 << size) - 1
-    rows = [bytearray((len(masks) + 7) >> 3) for _ in range(size - 1)]
+    if len(core) < 1:
+        raise ValueError("core must be nonempty")
+    full = mask_of(core)
+    outside = ~full
+    width = (len(masks) + 7) >> 3
+    rows = [None] * (core[-1] + 1)
+    for v in core:
+        rows[v] = bytearray(width)
     for j, mask in enumerate(masks):
-        if not 0 <= mask <= full:
-            raise ValueError(f"trace mask {mask:#x} outside a core of size {size}")
-        coords = _quotient_bits(mask, full)
+        if mask & outside:
+            raise ValueError(f"trace mask {mask:#x} has a vertex outside the core")
         byte, bit = j >> 3, 1 << (j & 7)
-        while coords:
-            low = coords & -coords
-            rows[low.bit_length() - 1][byte] |= bit
-            coords ^= low
-    return BitMatrix(size - 1, len(masks), tuple(int.from_bytes(row, "little") for row in rows))
+        while mask:
+            top = mask.bit_length() - 1
+            rows[top][byte] |= bit
+            mask ^= 1 << top
+    if target & outside:
+        raise ValueError(f"target mask {target:#x} has a vertex outside the core")
+    base = core[0]
+    flip = int.from_bytes(rows[base], "little")
+    matrix = BitMatrix(len(core) - 1, len(masks), tuple(
+        int.from_bytes(rows[v], "little") ^ flip for v in core[1:]
+    ))
+    if target >> base & 1:
+        target ^= full
+    coords = 0
+    for i, v in enumerate(core[1:]):
+        coords |= (target >> v & 1) << i
+    return matrix, BitVector(len(core) - 1, coords)
 
 
 def affine_lift_check(witness: ModularWitness, members) -> bool:

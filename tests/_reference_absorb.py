@@ -9,6 +9,7 @@ changes in ``modcert``.
 
 from __future__ import annotations
 
+import _reference_traces
 from modcert.errors import InternalInvariantError
 from modcert.graph import check_subset
 
@@ -23,11 +24,12 @@ def verify_parity_cut(problem, members) -> bool:
     label_sum = sum(problem.label.labels[u] for u in cut_set) % 2
     if label_sum == 0:
         return False
-    positions = {problem.table.position_of(u) for u in cut_set}
+    table = _reference_traces.compute_traces(problem.graph, core_set, problem.witness.members - core_set)
+    positions = {table.core.index(u) for u in cut_set}
     cut_mask = 0
     for p in positions:
         cut_mask |= 1 << p
-    for mask in problem.table.available_masks(problem.q):
+    for mask in table.available_masks(problem.q):
         if (mask & cut_mask).bit_count() % 2:
             return False
     return True

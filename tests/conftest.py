@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from modcert.absorb import AbsorptionProblem
 from modcert.graph import Graph
+from modcert.witness import ModularWitness
 
 
 def cycle(n: int) -> Graph:
@@ -35,6 +37,23 @@ def petersen() -> Graph:
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def relabeled(problem: AbsorptionProblem, rnd: random.Random) -> AbsorptionProblem:
+    """The same problem on a copy of its graph with shuffled vertex ids.
+
+    Every vertex keeps its name, so the copy's core ids are scattered and
+    differ from their positions in the sorted core.
+    """
+    graph = problem.graph
+    new_id = list(range(graph.n))
+    rnd.shuffle(new_id)
+    names = [""] * graph.n
+    for v in range(graph.n):
+        names[new_id[v]] = graph.name_of(v)
+    copy = Graph.from_edges(graph.n, [(new_id[u], new_id[v]) for u, v in graph.edges()], names=names)
+    witness = ModularWitness.build(copy, [new_id[v] for v in problem.witness.members], problem.q)
+    return AbsorptionProblem.build(witness, [new_id[v] for v in problem.core])
 
 
 @pytest.fixture

@@ -20,12 +20,14 @@ from modcert.absorb import (
     verify_deletion_certificate,
     verify_parity_cut,
 )
-from modcert.gf2 import _BLOCK, _CUTOVER, BitVector, rank
+from modcert.gf2 import _BLOCK, _CUTOVER, rank
 from modcert.graph import Graph
 from modcert.oracle import brute_force_absorption
 from modcert.synth import path_pair_trace_problem, realize_problem, twin_pair_example
 from modcert.traces import pair_trace_graph
 from modcert.witness import ModularWitness, is_q_modular, terminal_check
+
+from conftest import relabeled
 
 
 def build_problem(n, edges, q, core, names=None):
@@ -214,7 +216,7 @@ class TestVerifyParityCut:
 
     def test_outside_core_rejected(self):
         problem = realize_problem(4, 2, [0b0011, 0b1100], 0b0001)
-        tail_vertex = problem.table.tail_vertices()[0]
+        tail_vertex = min(problem.witness.members - set(problem.core))
         with pytest.raises(ValueError):
             verify_parity_cut(problem, {tail_vertex, problem.core[0]})
 
@@ -332,7 +334,7 @@ class TestPairTraceSufficiency:
         assert _pair_trace_reason(problem.table, problem.q) is None
         m = len(problem.core)
         for bits in range(1 << m):
-            outcome = solve_defect(problem.table, problem.q, BitVector(m, bits))
+            outcome = solve_defect(problem.table, problem.q, bits)
             assert isinstance(outcome, TraceSelection)
             assert len(outcome.masks) <= m - 1
 
@@ -413,6 +415,60 @@ class TestCertificateJson:
         payload["version"] = "modcert-v999"
         with pytest.raises(ValueError):
             certificate_from_json(payload, ids_of=lambda names: [int(n) for n in names])
+
+
+class TestRelabelingInvariance:
+    """Shuffling vertex ids, with names following their vertices, changes no
+    decision, trace or heavy pair; certificates move between labelings by name."""
+
+    @staticmethod
+    def name_table(problem):
+        table, name_of = problem.table, problem.graph.name_of
+        return {frozenset(map(name_of, table.members_of(mask))): table.count(mask) for mask in table.entries}
+
+    @staticmethod
+    def named_pair_view(problem):
+        view = pair_trace_graph(problem.table, problem.q)
+        edges = {frozenset(map(problem.graph.name_of, edge)) for edge in view.edges}
+        return edges, view.connected, view.has_odd_heavy_trace
+
+    def test_seeded_instances(self):
+        import random
+
+        rng = random.Random(0x5EED)
+        kinds = set()
+        checked = scattered = 0
+        while checked < 40:
+            m = rng.choice([2, 3, 4, 5])
+            q = rng.choice([2, 4])
+            masks = rng.sample(range(1, 1 << m), k=rng.randrange(0, min(6, (1 << m) - 1)))
+            first = realize_problem(m, q, masks, rng.getrandbits(m))
+            if first is None:
+                continue
+            checked += 1
+            second = relabeled(first, rng)
+            scattered += second.core != first.core
+            assert self.name_table(second) == self.name_table(first)
+            assert self.named_pair_view(second) == self.named_pair_view(first)
+            certs = [solve_core_correction(first), solve_core_correction(second)]
+            assert type(certs[0]) is type(certs[1])
+            kinds.add(type(certs[0]))
+            for cert, source, target in ((certs[0], first, second), (certs[1], second, first)):
+                payload = certificate_to_json(cert, name_of=source.graph.name_of)
+                moved = certificate_from_json(payload, ids_of=target.graph.ids_of)
+                assert verify_certificate(target, moved)
+        assert kinds == {DeletionCertificate, ParityCut}
+        assert scattered >= 30
+
+    def test_twin_pair_identities(self):
+        import random
+
+        problem, _ = twin_pair_example()
+        for seed in range(6):
+            copy = relabeled(problem, random.Random(seed))
+            assert all_tail_identity_check(copy) is None
+            blocks = twin_tail_decompose(copy.table, 2)
+            assert basis_tail_check(copy, blocks, base_vertex=copy.graph.ids_of(["4"])[0]) is None
 
 
 def test_engine_agrees_with_oracle_on_random_instances():

@@ -1,18 +1,27 @@
 """Differential tests: the one cut predicate against the two checks it replaced.
 
 ``_reference_absorb`` keeps the vertex-level ``verify_parity_cut`` and the
-position-level ``_assert_cut_valid``.  On realized problems and arbitrary
-candidate cuts the new code must give the same verdict, the same failure
-reason, or raise the same exception type.
+position-level ``_assert_cut_valid``; both read trace masks over core
+positions from the frozen ``_reference_traces``, while the cut predicate
+works on vertex-id masks.  On realized problems, relabeled so that core ids
+are not core positions, and arbitrary candidate cuts the new code must give
+the same verdict, the same failure reason, or raise the same exception type.
 """
+
+from types import SimpleNamespace
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _reference_absorb as ref
-from modcert.absorb import CutPositions, ParityCut, _cut_failure, solve_core_correction, verify_parity_cut
+import _reference_traces
+from modcert.absorb import ParityCut, _cut_failure, solve_core_correction, verify_parity_cut
 from modcert.errors import InternalInvariantError
+from modcert.gf2 import BitVector
+from modcert.graph import mask_of
 from modcert.synth import realize_problem
+
+from conftest import relabeled
 
 
 @st.composite
@@ -23,7 +32,7 @@ def problems(draw):
     masks = draw(st.lists(st.integers(1, full), max_size=4)) if m > 1 else []
     problem = realize_problem(m, q, masks, draw(st.integers(0, full)))
     assume(problem is not None)
-    return problem
+    return relabeled(problem, draw(st.randoms(use_true_random=False)))
 
 
 def outcome(fn, *args):
@@ -48,12 +57,15 @@ def test_verify_parity_cut_matches_reference(problem, data):
 @settings(max_examples=300, deadline=None)
 @given(problems(), st.data())
 def test_cut_predicate_matches_reference_assertion(problem, data):
-    cut_mask = data.draw(st.integers(0, (1 << len(problem.core)) - 1))
-    positions = tuple(p for p in range(len(problem.core)) if cut_mask >> p & 1)
-    label_bits = problem.label_bits()
+    core = problem.core
+    chosen = data.draw(st.integers(0, (1 << len(core)) - 1))
+    positions = tuple(p for p in range(len(core)) if chosen >> p & 1)
+    table = _reference_traces.compute_traces(problem.graph, core, problem.witness.members - set(core))
+    label_bits = BitVector.from_bits(problem.label.labels[v] for v in core)
     try:
-        ref.assert_cut_valid(problem.table, problem.q, label_bits, CutPositions(positions))
+        ref.assert_cut_valid(table, problem.q, label_bits, SimpleNamespace(positions=positions))
         expected = None
     except InternalInvariantError as exc:
         expected = str(exc)
-    assert _cut_failure(problem.table, problem.q, label_bits, cut_mask) == expected
+    cut_mask = mask_of(core[p] for p in positions)
+    assert _cut_failure(problem.table, problem.q, problem.label.mask(), cut_mask) == expected

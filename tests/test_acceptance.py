@@ -22,7 +22,7 @@ from modcert.absorb import (
     verify_parity_cut,
 )
 from modcert.cli import main
-from modcert.gf2 import BitVector, rank
+from modcert.gf2 import rank
 from modcert.graph import Graph
 from modcert.oracle import (
     brute_force_absorption,
@@ -211,7 +211,7 @@ def test_criterion_6_connected_pair_reservoirs():
         spanning, subset = rank_rich(problem.table, q)
         assert spanning and len(subset) <= m - 1
         for bits in range(1 << m):
-            outcome = solve_defect(problem.table, q, BitVector(m, bits))
+            outcome = solve_defect(problem.table, q, bits)
             assert isinstance(outcome, TraceSelection)
             assert len(outcome.masks) <= m - 1
         cert = solve_core_correction(problem)
@@ -343,5 +343,52 @@ def test_criterion_10_golden_stdout(tmp_path, capsys):
     with open(GOLDEN_STDOUT, encoding="utf-8") as handle:
         golden = json.load(handle)
     assert [run["command"] for run in runs] == [run["command"] for run in golden]
+    for run, want in zip(runs, golden):
+        assert run == want, f"{run['command']}: stdout or exit code changed"
+
+
+GOLDEN_SCATTERED = os.path.join(os.path.dirname(__file__), "golden_scattered_core.json")
+
+# G(10, 0.45) at random.Random(0) with every vertex b blown up into the
+# independent twins 2b and 2b+1; all 20 vertices have even degree.
+SCATTERED_BASE_EDGES = [
+    (0, 3), (0, 4), (0, 6), (0, 8), (1, 5), (1, 8), (2, 6), (3, 5),
+    (3, 6), (4, 7), (5, 6), (5, 8), (6, 8), (7, 9), (8, 9),
+]
+
+
+def _scattered_core_invocations(tmp_path, capsys) -> list[list[str]]:
+    """``--json`` runs on two cores of even twin representatives, whose ids
+    are not their core positions: the first core absorbs (exit 0), the second
+    gives a parity cut (exit 1).  Each certificate is then re-verified."""
+    edges = [(a, b) for u, v in SCATTERED_BASE_EDGES for a in (2 * u, 2 * u + 1) for b in (2 * v, 2 * v + 1)]
+    graph_file = _write_graph_file(tmp_path / "scattered.txt", Graph.from_edges(20, edges))
+    base = [graph_file, "--json", "--witness", ",".join(map(str, range(20)))]
+    invocations = []
+    for label, core in (("deletion", "10,12,14,16,18"), ("cut", "6,8,10,16,18")):
+        sets = base + ["--core", core]
+        cert_file = tmp_path / f"{label}.json"
+        main(["absorb"] + sets + ["--q", "2"])
+        cert_file.write_text(capsys.readouterr().out, encoding="utf-8")
+        invocations += [
+            ["absorb"] + sets + ["--q", "2"],
+            ["traces"] + sets,
+            ["next-bit"] + sets,
+            ["pair-trace"] + sets + ["--q", "2"],
+            ["verify-cert"] + sets + ["--q", "2", "--certificate", str(cert_file)],
+        ]
+    return invocations
+
+
+def test_scattered_core_golden_stdout(tmp_path, capsys):
+    """Runs on cores whose vertex ids differ from their core positions keep
+    the exact stdout and exit code recorded in ``golden_scattered_core.json``."""
+    runs = []
+    for argv in _scattered_core_invocations(tmp_path, capsys):
+        code = main(argv)
+        runs.append({"command": argv[0], "exit": code, "stdout": capsys.readouterr().out})
+    with open(GOLDEN_SCATTERED, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert [(run["command"], run["exit"]) for run in runs] == [(run["command"], run["exit"]) for run in golden]
     for run, want in zip(runs, golden):
         assert run == want, f"{run['command']}: stdout or exit code changed"

@@ -416,6 +416,10 @@ def _with_entry(edit):
     return lambda c: {**c, "chosen_traces": [edit(c["chosen_traces"][0])] + c["chosen_traces"][1:]}
 
 
+def _repeated(key):
+    return lambda c: {**c, key: c[key] + c[key][:1]}
+
+
 MALFORMED_CERTIFICATES = [
     ("top-level-list", "deletion", lambda c: [c], "must be a JSON object"),
     ("no-q", "deletion", _without("q"), "needs an integer 'q'"),
@@ -437,6 +441,14 @@ MALFORMED_CERTIFICATES = [
     ("list-residue", "deletion", _with("residue_achieved", [0]), "needs an integer 'residue_achieved'"),
     ("object-cut", "parity-cut", _with("parity_cut_Y", {"1": 1}), "vertex names in 'parity_cut_Y'"),
     ("no-cut", "parity-cut", _without("parity_cut_Y"), "vertex names in 'parity_cut_Y'"),
+    # A list read as a set would let a repeat pass: a genuine cut listing its
+    # members twice was valid, and a repeated trace member made it invalid.
+    ("repeated-core", "deletion", _repeated("core"), "repeats a vertex name in 'core'"),
+    ("repeated-trace", "deletion", _with_entry(_repeated("trace")), "repeats a vertex name in 'trace'"),
+    ("repeated-deleted", "deletion", _with_entry(_repeated("deleted_vertices")),
+     "repeats a vertex name in 'deleted_vertices'"),
+    ("repeated-cut", "parity-cut", lambda c: {**c, "parity_cut_Y": c["parity_cut_Y"] * 2},
+     "repeats a vertex name in 'parity_cut_Y'"),
 ]
 
 

@@ -95,8 +95,7 @@ class TestSolveOrDual:
         # picks exactly the first two traces.
         core = 5
         masks = [0b00011, 0b00110, 0b01100, 0b11000]
-        matrix = quotient_matrix(masks, core)
-        target = quotient_coords(BitVector(core, 0b00101))
+        matrix, target = quotient_matrix(masks, range(core), 0b00101)
         result = solve_or_dual(matrix, target)
         assert isinstance(result, Solution)
         assert result.x == BitVector.from_bits([1, 1, 0, 0])
@@ -129,7 +128,7 @@ class TestRank:
         span = {0}
         for col in columns:
             span |= {x ^ col.bits for x in span}
-        target_rank = rank(quotient_matrix(masks, core))
+        target_rank = rank(quotient_matrix(masks, range(core))[0])
         assert len(span) == 1 << target_rank
         assert target_rank == 2
 

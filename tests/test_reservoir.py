@@ -3,7 +3,6 @@ import math
 import pytest
 
 from modcert.absorb import TraceSelection, rank_rich, solve_defect
-from modcert.gf2 import BitVector
 from modcert.reservoir import (
     ReservoirSpec,
     estimate_availability,
@@ -111,7 +110,7 @@ class TestEstimateAvailability:
                 spanning, _ = rank_rich(table, spec.q)
                 assert spanning
                 for bits in range(1 << m):
-                    outcome = solve_defect(table, spec.q, BitVector(m, bits))
+                    outcome = solve_defect(table, spec.q, bits)
                     assert isinstance(outcome, TraceSelection)
                     assert len(outcome.masks) <= m - 1
             assert covered > 0

@@ -17,7 +17,7 @@ def assert_realizes(problem, m, q, masks, label):
     realized = set(problem.table.available_masks(q)) - {0}
     assert realized == set(masks)
     want = quotient_coords(BitVector(m, label))
-    got = quotient_coords(problem.label_bits())
+    got = quotient_coords(BitVector(m, problem.label.mask()))
     assert want == got
     assert is_q_modular(problem.graph, problem.witness.members, q).modular
 
@@ -85,8 +85,7 @@ def test_realize_q4_label_classes_cover_complement():
     # the quotient is what is guaranteed.
     problem = realize_problem(3, 4, [0b011, 0b101], 0b010)
     assert problem is not None
-    bits = problem.label_bits().to_tuple()
-    assert bits in [(0, 1, 0), (1, 0, 1)]
+    assert problem.label.mask() in (0b010, 0b101)
 
 
 def test_unrealizable_path_problem_raises_internal_error(monkeypatch):

@@ -1,11 +1,12 @@
 """Differential tests: the trace table against the frozen reference copy.
 
 ``_reference_traces`` maps each tail vertex's core neighborhood to core
-positions on its own; ``compute_traces`` groups the tail by neighborhood
-first and maps each distinct one once.  The tables must be equal with their
-entries in the same order (first realizer first), on random graphs, on twin
-blow-ups where many tail vertices share a trace, and on cores that some tail
-vertices miss entirely or see whole.
+positions on its own; ``compute_traces`` groups the tail by neighborhood and
+keeps each as a vertex-id mask.  Once the reference's masks are mapped from
+positions to ids, the tables must be equal with their entries in the same
+order (first realizer first), on random graphs, on twin blow-ups where many
+tail vertices share a trace, and on cores that some tail vertices miss
+entirely or see whole.
 """
 
 import random
@@ -13,7 +14,7 @@ import random
 import pytest
 
 import _reference_traces as ref
-from modcert.graph import Graph
+from modcert.graph import Graph, mask_of
 from modcert.traces import compute_traces
 
 from conftest import random_graph
@@ -23,7 +24,11 @@ def assert_same_table(graph: Graph, core, tail) -> None:
     got = compute_traces(graph, core, tail)
     want = ref.compute_traces(graph, core, tail)
     assert got.core == want.core
-    assert list(got.entries.items()) == list(want.entries.items())
+    by_ids = [
+        (mask_of(v for i, v in enumerate(want.core) if mask >> i & 1), realizers)
+        for mask, realizers in want.entries.items()
+    ]
+    assert list(got.entries.items()) == by_ids
 
 
 def random_split(n: int, rnd: random.Random) -> tuple[list[int], list[int]]:

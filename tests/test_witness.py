@@ -17,6 +17,7 @@ from modcert.witness import (
     affine_lift_check,
     is_q_modular,
     quotient_coords,
+    quotient_matrix,
     terminal_check,
     top_bit_label,
 )
@@ -100,8 +101,7 @@ class TestTopBitLabel:
         w = ModularWitness.build(cycle(5), range(5), 2)
         label = top_bit_label(w, range(5))
         assert set(label.labels.values()) == {1}
-        bits = label.bits_over(tuple(range(5)))
-        assert quotient_coords(bits).is_zero()
+        assert quotient_matrix((), range(5), label.mask())[1].is_zero()
 
     def test_worked_example_labels(self):
         problem, _ = twin_pair_example()
