@@ -20,9 +20,9 @@ above the columns of each row and either solves M x = t, by
 back-substitution with free variables 0, or returns an explicit
 inconsistency functional y with y^T M = 0 and y^T t = 1.  The dual is read
 off a second elimination run on rows that also carry the identity, done only
-when the system turns out inconsistent.  The fixed pivot basis makes every
-downstream certificate reproducible byte for byte.  Dimensions have no upper
-limit beyond memory.
+when the system turns out inconsistent and only on the rows up to the first
+inconsistent one.  The fixed pivot basis makes every downstream certificate
+reproducible byte for byte.  Dimensions have no upper limit beyond memory.
 """
 
 from __future__ import annotations
@@ -276,9 +276,12 @@ def solve_or_dual(m: BitMatrix, t: BitVector) -> SolveResult:
     rows = [r | (tgt >> i & 1) << cols for i, r in enumerate(m.row_bits)]
     work, pivots, inconsistent = _eliminate(rows, cols)
     if inconsistent:
-        aug = [r | 1 << (cols + 1 + i) for i, r in enumerate(rows)]
-        work, _, inconsistent = _eliminate(aug, cols)
-        return Dual(BitVector(m.rows, work[min(inconsistent)] >> (cols + 1)))
+        # Row ``first`` is only ever combined with pivot rows of lower index,
+        # so the rows after it cannot enter its dual.
+        first = min(inconsistent)
+        aug = [r | 1 << (cols + 1 + i) for i, r in enumerate(rows[:first + 1])]
+        work = _eliminate(aug, cols)[0]
+        return Dual(BitVector(m.rows, work[first] >> (cols + 1)))
     x_bits = 0
     for j, p in reversed(pivots):
         r = work[p]

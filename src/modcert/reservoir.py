@@ -227,7 +227,8 @@ def estimate_availability(
 
     Compared against the theoretical bound (m-1) exp(-Np/8).  With N p below
     2q the guarantee's hypothesis fails; the run still executes but is
-    marked advisory.  Also reports how often the full available family spans.
+    marked advisory.  Also reports how often the full available family spans;
+    a trial that keeps its verified basis spans without an elimination.
     """
     m = spec.core_size
     if basis is None:
@@ -253,13 +254,34 @@ def estimate_availability(
     # Read once: the comprehensions below run per mask, and a NamedTuple
     # field read is a descriptor call.
     q = spec.q
+    # Uniform draws of at most 8 bits in one block are one bytes object, so
+    # bytes.count tests each basis mask and only a failing trial counts every
+    # draw.  A mask outside 0..255 is never drawn (only m = 1 skips
+    # _verify_basis), and bytes.count would reject it.
+    byte_draws = (
+        spec.distribution == "uniform"
+        and m <= 8
+        and spec.samples <= _BLOCK
+        and all(0 <= mask < 256 for mask in basis_masks)
+    )
     for trial in range(spec.trials):
-        counts = _draw_counts(spec, trial_rng(spec.seed, trial))
-        failed = any(counts.get(mask, 0) < q for mask in basis_masks)
+        rng = trial_rng(spec.seed, trial)
+        if byte_draws:
+            (block,) = _uniform_draws(m, spec.samples, rng)
+            failed = any(block.count(mask) < q for mask in basis_masks)
+        else:
+            counts = _draw_counts(spec, rng)
+            failed = any(counts.get(mask, 0) < q for mask in basis_masks)
         failures += failed
         bits.append("1" if failed else "0")
-        available = [mask for mask, count in counts.items() if count >= q]
-        spanning += _spans(m, available)
+        if failed:
+            if byte_draws:
+                counts = Counter(block)
+            spanning += _spans(m, [mask for mask, count in counts.items() if count >= q])
+        else:
+            # The surviving basis spans: checked above for m > 1, and the
+            # quotient is trivial for m = 1.
+            spanning += 1
     bound = (m - 1) * math.exp(-spec.samples * p / 8.0)
     return AvailabilityReport(
         spec=spec,

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modcert.absorb import (
     AbsorptionProblem,
@@ -135,6 +137,37 @@ def test_deletion_certificates_keep_the_size_bound(seed):
         assert len(cert.chosen) <= m - 1
         assert len(cert.deleted_vertices()) <= q * (m - 1)
         assert all(len(deleted) == q for _, deleted in cert.chosen)
+
+
+@st.composite
+def realized_problems(draw):
+    """``realize_problem`` instances; half of the labels lie in the span of the masks."""
+    m = draw(st.integers(1, 9))
+    q = draw(st.sampled_from([2, 4]))
+    full = (1 << m) - 1
+    masks = draw(st.lists(st.integers(1, full), max_size=3 * m, unique=True)) if full else []
+    if draw(st.booleans()):
+        label = 0
+        for mask in masks:
+            if draw(st.booleans()):
+                label ^= mask
+    else:
+        label = draw(st.integers(0, full))
+    problem = realize_problem(m, q, masks, label)
+    assume(problem is not None)
+    return problem
+
+
+@settings(max_examples=200, deadline=None)
+@given(realized_problems())
+def test_every_emitted_deletion_keeps_the_size_bound(problem):
+    # At most |U| - 1 traces and q(|U| - 1) deleted vertices, q per trace.
+    bound = len(problem.core) - 1
+    cert = solve_core_correction(problem)
+    if isinstance(cert, DeletionCertificate):
+        assert len(cert.chosen) <= bound
+        assert len(cert.deleted_vertices()) <= problem.q * bound
+        assert all(len(deleted) == problem.q for _, deleted in cert.chosen)
 
 
 class TestVerifyDeletionCertificate:

@@ -392,3 +392,19 @@ def test_scattered_core_golden_stdout(tmp_path, capsys):
     assert [(run["command"], run["exit"]) for run in runs] == [(run["command"], run["exit"]) for run in golden]
     for run, want in zip(runs, golden):
         assert run == want, f"{run['command']}: stdout or exit code changed"
+
+
+GOLDEN_RESERVOIR = os.path.join(os.path.dirname(__file__), "golden_reservoir.json")
+
+
+def test_reservoir_golden_stdout(capsys):
+    """``reservoir`` runs with failing trials, failing trials whose available
+    traces do not span, a one-vertex core and cores of 8 and 9 vertices (the
+    last byte-wide draws and the first wider ones) keep the exact stdout and
+    exit code recorded in ``golden_reservoir.json``."""
+    with open(GOLDEN_RESERVOIR, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    for want in golden:
+        code = main(want["argv"])
+        run = {"argv": want["argv"], "exit": code, "stdout": capsys.readouterr().out}
+        assert run == want, f"{' '.join(want['argv'])}: stdout or exit code changed"

@@ -225,6 +225,34 @@ def test_block_phase_duals_match_reference(rows, cols):
     assert duals >= 3
 
 
+@pytest.mark.parametrize("first", [0, 5, _CUTOVER - 1, _CUTOVER, _CUTOVER + 20])
+def test_duals_from_the_rows_up_to_the_first_inconsistent_one_match_reference(first):
+    # Rows 0..first-1 are independent, row ``first`` repeats a combination of
+    # them with the target flipped, and 300 random rows follow.  The dual's
+    # elimination takes only rows 0..first, with block steps (first >=
+    # _CUTOVER) or without, while the whole system takes them.
+    rnd = random.Random(first)
+    cols = 260
+    for density in (0.1, 0.5):
+        head = [r | 1 << i for i, r in enumerate(random_rows(first, cols, density, rnd))]
+        chosen = [i for i in range(first) if rnd.random() < 0.5]
+        again = 0
+        for i in chosen:
+            again ^= head[i]
+        tail = list(random_rows(300, cols, 0.5, rnd))
+        row_bits = tuple(head + [again] + tail)
+        target_bits = rnd.getrandbits(len(row_bits))
+        target_bits ^= ((target_bits >> first ^ sum(target_bits >> i for i in chosen)) & 1 ^ 1) << first
+        matrix, target = BitMatrix(len(row_bits), cols, row_bits), BitVector(len(row_bits), target_bits)
+        assert first_block_rows(row_bits, cols) >= _CUTOVER
+        sizes = []
+        real = gf2._eliminate
+        with mock.patch.object(gf2, "_eliminate", lambda rows, c: sizes.append(len(rows)) or real(rows, c)):
+            result = solve_or_dual(matrix, target)
+        assert isinstance(result, Dual) and sizes == [len(row_bits), first + 1]
+        assert_same_elimination(matrix, target)
+
+
 @pytest.mark.parametrize("window", [_CUTOVER - 1, _CUTOVER, _CUTOVER + 1])
 @pytest.mark.parametrize("density", [0.1, 0.5])
 def test_block_rows_at_the_cutover_match_reference(window, density):

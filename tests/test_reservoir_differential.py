@@ -1,9 +1,12 @@
-"""Differential tests: the block-drawn reservoir samples against the frozen reference.
+"""Differential tests: the block-drawn reservoir samples and the trial loop against the frozen reference.
 
-``_reference_reservoir`` keeps the per-sample ``getrandbits(m)`` loop and the
-linear scan of the cumulative bounds.  Results must be equal, not merely
-alike in distribution: the same values in the same order, the same generator
-state afterwards, and the same reports and trace tables.
+``_reference_reservoir`` keeps the per-sample ``getrandbits(m)`` loop, the
+linear scan of the cumulative bounds, and the trial loop that counts every
+draw and runs the span check in every trial.  Results must be equal, not
+merely alike in distribution: the same values in the same order, the same
+generator state afterwards, and the same reports and trace tables.  The
+report cases include failing trials, where the span check decides, and
+trials whose available traces do not span.
 """
 
 import random
@@ -52,11 +55,60 @@ def test_blocks_are_bounded(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 123456789, 2 ** 31 - 1])
 @pytest.mark.parametrize("m,q,samples,trials", BENCH_CONFIGS)
-def test_bench_reports_match_reference(monkeypatch, m, q, samples, trials, seed):
+def test_bench_reports_match_reference(m, q, samples, trials, seed):
     spec = ReservoirSpec(core_size=m, q=q, samples=samples, trials=trials, seed=seed)
-    got = estimate_availability(spec).to_json_dict()
-    monkeypatch.setattr(reservoir, "_draw_counts", ref._draw_counts)
-    assert got == estimate_availability(spec).to_json_dict()
+    assert estimate_availability(spec).to_json_dict() == ref.estimate_availability(spec).to_json_dict()
+
+
+def assert_same_report(spec, basis=None):
+    got = estimate_availability(spec, basis)
+    want = ref.estimate_availability(spec, basis)
+    assert got.to_json_dict() == want.to_json_dict()
+    return got
+
+
+# Small tails, where trials fail and the span check decides: per m, a tail
+# of a few samples per core vertex and one of about q samples per mask.
+FAILING_SPECS = [
+    ReservoirSpec(core_size=m, q=q, samples=samples, trials=40, seed=100 * m + q)
+    for m in range(1, 11)
+    for q in (1, 2, 4)
+    for samples in (3 * m, q << m)
+]
+
+
+def test_failing_trials_match_reference():
+    failing = spanning_failures = 0
+    for spec in FAILING_SPECS:
+        report = assert_same_report(spec)
+        failing += report.failures
+        spanning_failures += round(report.rank_rich_fraction * spec.trials) - (spec.trials - report.failures)
+    # Both outcomes of the span check occur in failing trials.
+    assert 0 < spanning_failures < failing
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 9])
+def test_multi_block_trials_match_reference(monkeypatch, m):
+    # Tails over several blocks take the counted path even for m <= 8.
+    monkeypatch.setattr(reservoir, "_BLOCK", 16)
+    for samples in (15, 16, 17, 50):
+        assert_same_report(ReservoirSpec(core_size=m, q=2, samples=samples, trials=30, seed=m))
+
+
+@pytest.mark.parametrize("basis", [(), (0,), (1,), (2,), (255,), (256,), (300,), (-1,), (1, 1)])
+def test_single_vertex_core_with_user_basis_matches_reference(basis):
+    # m = 1 skips the basis check, so any mask may come in; one the draws
+    # cannot hold is counted 0 and fails every trial.
+    for samples in (1, 4, 9):
+        spec = ReservoirSpec(core_size=1, q=2, samples=samples, trials=25, seed=samples)
+        assert_same_report(spec, basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.sampled_from([1, 2, 4]), st.integers(1, 80), st.integers(1, 12),
+       st.integers(0, 2 ** 40))
+def test_random_reports_match_reference(m, q, samples, trials, seed):
+    assert_same_report(ReservoirSpec(core_size=m, q=q, samples=samples, trials=trials, seed=seed))
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 8, 9, 31, 33, 70])
@@ -66,17 +118,25 @@ def test_uniform_tables_match_reference(m):
         assert sample_reservoir(spec, trial) == ref.sample_reservoir(spec, trial)
 
 
-def test_explicit_tables_match_reference(monkeypatch):
+def test_explicit_tables_match_reference():
     spec = ReservoirSpec(core_size=3, q=2, samples=500, trials=3, seed=12,
                          distribution=((0b011, 0.5), (0b110, 0.0), (0b101, 0.25), (0b111, 0.25)))
     for trial in range(spec.trials):
         table = sample_reservoir(spec, trial)
         assert table == ref.sample_reservoir(spec, trial)
         assert list(table.entries) == list(ref.sample_reservoir(spec, trial).entries)
-    basis = (0b011, 0b101)
-    got = estimate_availability(spec, basis).to_json_dict()
-    monkeypatch.setattr(reservoir, "_draw_counts", ref._draw_counts)
-    assert got == estimate_availability(spec, basis).to_json_dict()
+    assert_same_report(spec, (0b011, 0b101))
+
+
+def test_explicit_reports_with_failing_trials_match_reference():
+    # Rare basis traces: most trials fail, and the span check then rests on
+    # the other available traces.
+    spec = ReservoirSpec(core_size=4, q=2, samples=30, trials=60, seed=21,
+                         distribution=((0b0010, 0.05), (0b0100, 0.05), (0b1000, 0.05),
+                                       (0b0110, 0.35), (0b1100, 0.3), (0b0000, 0.2)))
+    report = assert_same_report(spec, (0b0010, 0b0100, 0b1000))
+    assert 0 < report.failures < spec.trials
+    assert report.rank_rich_fraction < 1
 
 
 class ScriptedRng:
