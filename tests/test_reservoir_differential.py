@@ -53,18 +53,16 @@ def test_blocks_are_bounded(monkeypatch):
     assert sizes == [5, 5, 2]
 
 
+def assert_same_report(spec, basis=None):
+    got = estimate_availability(spec, basis)
+    assert got.to_json_dict() == ref.estimate_availability(spec, basis).to_json_dict()
+    return got
+
+
 @pytest.mark.parametrize("seed", [1, 123456789, 2 ** 31 - 1])
 @pytest.mark.parametrize("m,q,samples,trials", BENCH_CONFIGS)
 def test_bench_reports_match_reference(m, q, samples, trials, seed):
-    spec = ReservoirSpec(core_size=m, q=q, samples=samples, trials=trials, seed=seed)
-    assert estimate_availability(spec).to_json_dict() == ref.estimate_availability(spec).to_json_dict()
-
-
-def assert_same_report(spec, basis=None):
-    got = estimate_availability(spec, basis)
-    want = ref.estimate_availability(spec, basis)
-    assert got.to_json_dict() == want.to_json_dict()
-    return got
+    assert_same_report(ReservoirSpec(core_size=m, q=q, samples=samples, trials=trials, seed=seed))
 
 
 # Small tails, where trials fail and the span check decides: per m, a tail
