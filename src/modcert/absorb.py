@@ -14,6 +14,7 @@ before it is returned.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple, Union
 
 from .errors import InternalInvariantError
@@ -25,20 +26,29 @@ from .witness import ModularWitness, TopBitLabel, is_q_modular, quotient_matrix,
 SCHEMA_VERSION = "modcert-v1"
 
 
-class AbsorptionProblem(NamedTuple):
-    """A witness, a retained core, the top-bit label, and the tail's traces."""
-
+class _ProblemFields(NamedTuple):
     witness: ModularWitness
     core: tuple[int, ...]
     label: TopBitLabel
-    table: TraceTable
+
+
+class AbsorptionProblem(_ProblemFields):
+    """A witness, a retained core, the top-bit label, and the tail's traces.
+
+    The trace table is built on first use: checking a deletion certificate
+    reads none of it, so verifying one never groups the tail.
+    """
+
+    # No ``__slots__``: the instance ``__dict__`` holds the cached table.
 
     @classmethod
     def build(cls, witness: ModularWitness, core) -> "AbsorptionProblem":
-        core_set, tail_set = split_witness(witness.graph, witness.members, core)
-        label = top_bit_label(witness, core_set)
-        table = compute_traces(witness.graph, core_set, tail_set)
-        return cls(witness=witness, core=tuple(sorted(core_set)), label=label, table=table)
+        core_set, _ = split_witness(witness.graph, witness.members, core)
+        return cls(witness, tuple(sorted(core_set)), top_bit_label(witness, core_set))
+
+    @cached_property
+    def table(self) -> TraceTable:
+        return compute_traces(self.graph, self.core, self.witness.members.difference(self.core))
 
     @property
     def q(self) -> int:
@@ -163,13 +173,18 @@ def solve_core_correction(problem: AbsorptionProblem) -> Certificate:
     return cert._replace(residue_achieved=residue)
 
 
-def _check_problem_claims(problem: AbsorptionProblem, cert: Certificate) -> None:
-    """The q, d and core a certificate of either kind declares must be the problem's."""
-    if cert.q != problem.q:
-        raise ValueError(f"certificate modulus {cert.q} does not match the problem's {problem.q}")
-    if cert.lift != problem.lift:
-        raise ValueError(f"certificate lift {cert.lift} does not match the problem's {problem.lift}")
-    if tuple(cert.core) != problem.core:
+def check_claims(cert: Certificate, q: int, core, lift: int | None = None) -> None:
+    """Raise ValueError unless ``cert`` declares this q, this core and, if given, this d.
+
+    ``core`` is sorted like the certificate's: by id, or by name for a
+    certificate read without a graph, so the q and core claims can be
+    checked before any graph is loaded.
+    """
+    if cert.q != q:
+        raise ValueError(f"certificate modulus {cert.q} does not match the problem's {q}")
+    if lift is not None and cert.lift != lift:
+        raise ValueError(f"certificate lift {cert.lift} does not match the problem's {lift}")
+    if tuple(cert.core) != tuple(core):
         raise ValueError("certificate core does not match the problem core")
 
 
@@ -179,7 +194,7 @@ def _deletion_outcome(problem: AbsorptionProblem, cert: DeletionCertificate) -> 
     Fails when a deleted vertex does not realize its declared trace or when a
     declared residue is not the recomputed one.
     """
-    _check_problem_claims(problem, cert)
+    check_claims(cert, problem.q, problem.core, problem.lift)
     graph = problem.graph
     core_mask = mask_of(problem.core)
     tail = problem.witness.members.difference(problem.core)
@@ -230,7 +245,7 @@ def verify_certificate(problem: AbsorptionProblem, cert: Certificate) -> bool:
     """
     if isinstance(cert, DeletionCertificate):
         return verify_deletion_certificate(problem, cert)
-    _check_problem_claims(problem, cert)
+    check_claims(cert, problem.q, problem.core, problem.lift)
     return verify_parity_cut(problem, cert.members)
 
 
@@ -434,12 +449,14 @@ def certificate_to_json(cert: Certificate, name_of=str) -> dict:
     return base
 
 
-def certificate_from_json(payload, ids_of) -> Certificate:
+def certificate_from_json(payload, ids_of=None) -> Certificate:
     """Parse the wire format back; ``ids_of`` maps name lists to id lists.
 
     A payload of the wrong shape (not an object, a field missing or of the
     wrong JSON type, a vertex name listed twice) raises ValueError, as does
-    an unknown version or kind.
+    an unknown version or kind.  Without ``ids_of`` the vertices stay names,
+    each list sorted by name: the claims alone, read without a graph, which
+    :func:`certificate_ids` maps to ids later.
     """
     if not isinstance(payload, dict):
         raise ValueError("certificate must be a JSON object")
@@ -447,7 +464,7 @@ def certificate_from_json(payload, ids_of) -> Certificate:
         raise ValueError(f"unsupported certificate version {payload.get('version')!r}")
     q = _json_int(payload, "q")
     lift = _json_int(payload, "d")
-    core = tuple(sorted(ids_of(_json_names(payload, "core"))))
+    core = _json_names(payload, "core")
     kind = payload.get("kind")
     if not isinstance(kind, str):
         raise ValueError("certificate needs a string 'kind'")
@@ -456,21 +473,30 @@ def certificate_from_json(payload, ids_of) -> Certificate:
         if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
             raise ValueError("certificate needs a list of objects in 'chosen_traces'")
         chosen = tuple(
-            (
-                tuple(sorted(ids_of(_json_names(entry, "trace")))),
-                tuple(sorted(ids_of(_json_names(entry, "deleted_vertices")))),
-            )
+            (_json_names(entry, "trace"), _json_names(entry, "deleted_vertices"))
             for entry in entries
         )
         residue = payload.get("residue_achieved")
-        return DeletionCertificate(
+        cert = DeletionCertificate(
             q=q, lift=lift, core=core, chosen=chosen,
             residue_achieved=None if residue is None else _json_int(payload, "residue_achieved"),
         )
-    if kind == "parity-cut":
-        members = tuple(sorted(ids_of(_json_names(payload, "parity_cut_Y"))))
-        return ParityCut(q=q, lift=lift, core=core, members=members)
-    raise ValueError(f"unknown certificate kind {kind!r}")
+    elif kind == "parity-cut":
+        cert = ParityCut(q=q, lift=lift, core=core, members=_json_names(payload, "parity_cut_Y"))
+    else:
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    return cert if ids_of is None else certificate_ids(cert, ids_of)
+
+
+def certificate_ids(cert: Certificate, ids_of) -> Certificate:
+    """A certificate read by name, with each name list mapped by ``ids_of`` and sorted by id."""
+    def ids(names):
+        return tuple(sorted(ids_of(names)))
+
+    if isinstance(cert, DeletionCertificate):
+        chosen = tuple((ids(trace), ids(deleted)) for trace, deleted in cert.chosen)
+        return cert._replace(core=ids(cert.core), chosen=chosen)
+    return cert._replace(core=ids(cert.core), members=ids(cert.members))
 
 
 def _json_int(payload: dict, key: str) -> int:
@@ -480,10 +506,11 @@ def _json_int(payload: dict, key: str) -> int:
     return value
 
 
-def _json_names(payload: dict, key: str) -> list[str]:
+def _json_names(payload: dict, key: str) -> tuple[str, ...]:
     value = payload.get(key)
     if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
         raise ValueError(f"certificate needs a list of vertex names in {key!r}")
-    if len(set(value)) != len(value):
+    names = tuple(sorted(set(value)))
+    if len(names) != len(value):
         raise ValueError(f"certificate repeats a vertex name in {key!r}")
-    return value
+    return names

@@ -19,7 +19,9 @@ from .absorb import (
     AbsorptionProblem,
     DeletionCertificate,
     certificate_from_json,
+    certificate_ids,
     certificate_to_json,
+    check_claims,
     pair_trace_sufficiency,
     solve_core_correction,
     verify_certificate,
@@ -44,9 +46,12 @@ def _load(args) -> Graph:
         return load_graph(handle, fmt=args.format)
 
 
+def _names(spec: str) -> list[str]:
+    return [token.strip() for token in spec.split(",") if token.strip()]
+
+
 def _ids(graph: Graph, spec: str) -> list[int]:
-    names = [token.strip() for token in spec.split(",") if token.strip()]
-    return graph.ids_of(names)
+    return graph.ids_of(_names(spec))
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
@@ -298,12 +303,15 @@ def _cmd_ladder_budget(args) -> int:
 
 
 def _cmd_verify_cert(args) -> int:
+    # A certificate of the wrong shape, or one whose q or core contradicts the
+    # command line, is rejected (exit 2) before the graph is read.  Every
+    # verdict needs the graph and a valid problem, so exit 1 still comes after.
+    with open(args.certificate, "r", encoding="utf-8") as handle:
+        claims = certificate_from_json(json.load(handle))
+    check_claims(claims, args.q, sorted(set(_names(args.core))))
     graph = _load(args)
     problem = _problem_from_args(args, graph)
-    with open(args.certificate, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    certificate = certificate_from_json(payload, ids_of=graph.ids_of)
-    valid = verify_certificate(problem, certificate)
+    valid = verify_certificate(problem, certificate_ids(claims, graph.ids_of))
     _emit(args, {"command": "verify-cert", "valid": valid}, [f"valid: {valid}"])
     return 0 if valid else 1
 

@@ -156,33 +156,45 @@ def _symmetrize(rows: list[bytearray]) -> None:
         for k, r in enumerate(range(top, min(top + tile, n))):
             rows[r][lo:lo + width] = data[k * width:(k + 1) * width]
 
+    swaps = _delta_swaps(tile)
     starts = range(0, n, tile)
     for i, top in enumerate(starts):
         for left in starts[i:]:
-            x = read(top, left) | _transpose(read(left, top), tile)
+            x = read(top, left) | _transpose(read(left, top), tile, swaps)
             write(top, left, x)
             if left != top:
-                write(left, top, _transpose(x, tile))
+                write(left, top, _transpose(x, tile, swaps))
 
 
-def _transpose(x: int, side: int) -> int:
-    """Transpose a side × side bit matrix stored row-major (bit r * side + c).
+def _delta_swaps(side: int) -> list[tuple[int, int]]:
+    """The (shift, mask) of each delta swap that transposes a side × side tile.
 
-    One delta swap per bit j of the indices (side a power of two, at least
-    8): the bits at (r, c) with r & j clear and c & j set trade places with
+    One swap per bit j of the indices (side a power of two, at least 8): the
+    bits at (r, c) with r & j clear and c & j set trade places with
     (r | j, c & ~j), ``j * (side - 1)`` positions higher.
     """
     width = side >> 3
     blank = bytes(width)
+    swaps = []
     step = side >> 1
     while step:
         pattern = ((1 << side) - 1) // ((1 << 2 * step) - 1) * (((1 << step) - 1) << step)
         row = pattern.to_bytes(width, "little")
         mask = int.from_bytes((row * step + blank * step) * (side // (2 * step)), "little")
-        delta = step * (side - 1)
+        swaps.append((step * (side - 1), mask))
+        step >>= 1
+    return swaps
+
+
+def _transpose(x: int, side: int, swaps: list[tuple[int, int]] | None = None) -> int:
+    """Transpose a side × side bit matrix stored row-major (bit r * side + c).
+
+    ``swaps`` is ``_delta_swaps(side)``; a caller that transposes many tiles
+    builds it once.
+    """
+    for delta, mask in _delta_swaps(side) if swaps is None else swaps:
         swap = (x ^ x >> delta) & mask
         x ^= swap | swap << delta
-        step >>= 1
     return x
 
 

@@ -246,8 +246,7 @@ def estimate_availability(
             if missing:
                 raise ValueError(f"basis traces with zero probability: {missing}")
             p = min(probs[mask] for mask in basis_masks)
-    if m > 1:
-        _verify_basis(m, basis_masks)
+    _verify_basis(m, basis_masks)
     failures = 0
     spanning = 0
     bits = []
@@ -256,14 +255,8 @@ def estimate_availability(
     q = spec.q
     # Uniform draws of at most 8 bits in one block are one bytes object, so
     # bytes.count tests each basis mask and only a failing trial counts every
-    # draw.  A mask outside 0..255 is never drawn (only m = 1 skips
-    # _verify_basis), and bytes.count would reject it.
-    byte_draws = (
-        spec.distribution == "uniform"
-        and m <= 8
-        and spec.samples <= _BLOCK
-        and all(0 <= mask < 256 for mask in basis_masks)
-    )
+    # draw.
+    byte_draws = spec.distribution == "uniform" and m <= 8 and spec.samples <= _BLOCK
     for trial in range(spec.trials):
         rng = trial_rng(spec.seed, trial)
         if byte_draws:
@@ -279,8 +272,7 @@ def estimate_availability(
                 counts = Counter(block)
             spanning += _spans(m, [mask for mask, count in counts.items() if count >= q])
         else:
-            # The surviving basis spans: checked above for m > 1, and the
-            # quotient is trivial for m = 1.
+            # The surviving basis spans: _verify_basis checked it above.
             spanning += 1
     bound = (m - 1) * math.exp(-spec.samples * p / 8.0)
     return AvailabilityReport(

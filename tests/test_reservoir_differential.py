@@ -95,11 +95,27 @@ def test_multi_block_trials_match_reference(monkeypatch, m):
 
 @pytest.mark.parametrize("basis", [(), (0,), (1,), (2,), (255,), (256,), (300,), (-1,), (1, 1)])
 def test_single_vertex_core_with_user_basis_matches_reference(basis):
-    # m = 1 skips the basis check, so any mask may come in; one the draws
-    # cannot hold is counted 0 and fails every trial.
+    # A one-vertex core has a trivial quotient, so its only basis is empty;
+    # any other is rejected as it is for larger cores, not run.
     for samples in (1, 4, 9):
         spec = ReservoirSpec(core_size=1, q=2, samples=samples, trials=25, seed=samples)
-        assert_same_report(spec, basis)
+        if basis:
+            with pytest.raises(ValueError, match="basis must have 0 traces"):
+                estimate_availability(spec, basis)
+        else:
+            assert_same_report(spec, basis)
+
+
+@pytest.mark.parametrize("m,basis,message", [
+    (2, (), "basis must have 1 traces"),
+    (2, (0b10, 0b01), "basis must have 1 traces"),
+    (2, (-1,), "outside the core"),
+    (3, (0b010, 0b1000), "outside the core"),
+    (8, (1 << 8,) * 7, "outside the core"),
+])
+def test_user_basis_of_wrong_length_or_outside_the_core_rejected(m, basis, message):
+    with pytest.raises(ValueError, match=message):
+        estimate_availability(ReservoirSpec(core_size=m, q=2, samples=8, trials=2, seed=0), basis)
 
 
 @settings(max_examples=150, deadline=None)
