@@ -42,7 +42,7 @@ from .witness import ModularWitness, is_q_modular
 
 
 def _load(args) -> Graph:
-    with open(args.graph, "r", encoding="utf-8") as handle:
+    with open(args.graph, "r", encoding="utf-8-sig") as handle:
         return load_graph(handle, fmt=args.format)
 
 

@@ -12,7 +12,9 @@ run out it closes the rows with A | Aᵀ by a delta-swap bit transpose of
 tiles at most 1024 bits square.  Sparse graphs never reach the switch.  The
 parsers stream validated edges into it without building an edge list
 (except a header-less edge list, whose vertex count is known only at the
-end).
+end), wrapped in the private ``_Parsed`` so that it fills them unchecked.
+Each edge is thus checked once: by the parser that reads it, or by the
+builder for edges from any other caller.
 
 An edge list with an ``n <count>`` header is read in chunks of about 64 Ki
 characters, each extended to the end of its line.  A chunk of canonical lines
@@ -54,6 +56,13 @@ class Graph(_GraphFields):
         edges: Iterable[tuple[int, int]],
         names: Iterable[str] | None = None,
     ) -> "Graph":
+        """The graph on vertices 0..n-1 with the given edges, repeats allowed.
+
+        Edges in a ``_Parsed`` were checked by the parser that read them and
+        are filled as they are.  Any other edges pass through ``_checked``,
+        which raises ``ValueError`` at the first self-loop or endpoint
+        outside 0..n-1.
+        """
         name_tuple = tuple(names) if names is not None else tuple(str(v) for v in range(n))
         if len(name_tuple) != n:
             raise ValueError(f"expected {n} names, got {len(name_tuple)}")
@@ -61,17 +70,13 @@ class Graph(_GraphFields):
         rows = [bytearray((n + 7) >> 3) for _ in range(n)]
         byte = [v >> 3 for v in range(n)]
         bit = [1 << (v & 7) for v in range(n)]
-        edges = iter(edges)
+        edges = iter(edges.pairs) if type(edges) is _Parsed else _checked(edges, n)
         for u, v in islice(edges, side * side >> 5):
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise _edge_error(u, v, n)
             rows[u][byte[v]] |= bit[v]
             rows[v][byte[u]] |= bit[u]
         rest = next(edges, None)
         if rest is not None:
             for u, v in chain((rest,), edges):
-                if u == v or not (0 <= u < n and 0 <= v < n):
-                    raise _edge_error(u, v, n)
                 rows[u][byte[v]] |= bit[v]
             _symmetrize(rows)
         masks = tuple(int.from_bytes(row, "little") for row in rows)
@@ -127,6 +132,20 @@ def _edge_error(u: int, v: int, n: int) -> ValueError:
     if not (0 <= u < n and 0 <= v < n):
         return ValueError(f"edge ({u},{v}) out of range for n={n}")
     return ValueError(f"self-loop at vertex {u}")
+
+
+class _Parsed(NamedTuple):
+    """Edges a parser of this module has checked, which :meth:`Graph.from_edges` fills unchecked."""
+
+    pairs: Iterable[tuple[int, int]]
+
+
+def _checked(edges: Iterable[tuple[int, int]], n: int) -> Iterator[tuple[int, int]]:
+    """``edges``, raising at the first self-loop or endpoint outside 0..n-1."""
+    for u, v in edges:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise _edge_error(u, v, n)
+        yield u, v
 
 
 def _symmetrize(rows: list[bytearray]) -> None:
@@ -257,7 +276,7 @@ def _load_edge_list(stream: IO[str]) -> Graph:
         if declared_n is None:
             return _load_named_edges(chain([(lineno, raw)], lines))
         chunks = _numbered_chunks(stream, declared_n, lineno + 1)
-        return Graph.from_edges(declared_n, chain.from_iterable(chunks))
+        return Graph.from_edges(declared_n, _Parsed(chain.from_iterable(chunks)))
     return Graph.from_edges(0, ())
 
 
@@ -369,7 +388,7 @@ def _load_named_edges(lines: Iterator[tuple[int, str]]) -> Graph:
         if u == v:
             raise ParseError(f"self-loop at vertex {tokens[0]!r}", lineno)
         edges.append((u, v))
-    return Graph.from_edges(len(ids), edges, names=list(ids))
+    return Graph.from_edges(len(ids), _Parsed(edges), names=list(ids))
 
 
 def _load_dimacs(stream: IO[str]) -> Graph:
@@ -389,7 +408,7 @@ def _load_dimacs(stream: IO[str]) -> Graph:
             if declared_n < 0:
                 raise ParseError(f"negative vertex count {declared_n}", lineno)
             names = [str(v + 1) for v in range(declared_n)]
-            return Graph.from_edges(declared_n, _dimacs_edges(lines, declared_n), names=names)
+            return Graph.from_edges(declared_n, _Parsed(_dimacs_edges(lines, declared_n)), names=names)
         if tokens[0] == "e":
             raise ParseError("edge before problem line", lineno)
         raise ParseError(f"unrecognized line {line!r}", lineno)

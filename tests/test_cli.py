@@ -616,6 +616,22 @@ class TestFormats:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["classes"] == [["0", "1", "2"], ["3", "4", "5", "6"]]
 
+    @pytest.mark.parametrize("fmt, text", [
+        ("edge-list", "n 3\n0 1\n1 2\n"),
+        ("edge-list", "a b\nb c\n"),
+        ("dimacs", "p edge 3 2\ne 1 2\ne 2 3\n"),
+    ], ids=["headed", "header-less", "dimacs"])
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, capsys, fmt, text):
+        runs = []
+        for name, data in (("plain.txt", text.encode("utf-8")), ("bom.txt", b"\xef\xbb\xbf" + text.encode("utf-8"))):
+            target = tmp_path / name
+            target.write_bytes(data)
+            runs.append(run_cli(capsys, ["nd", str(target), "--json", "--format", fmt]))
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 0, err
+        assert json.loads(out)["t"] == 2
+
     def test_path_beyond_4096_vertices(self, tmp_path, capsys):
         # Dimensions are not capped: a valid graph of any size is solved.
         n = 4097

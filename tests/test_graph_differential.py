@@ -361,6 +361,37 @@ def test_dense_headed_parse_crosses_the_switch_without_the_line_path(monkeypatch
     assert closures == [600]
 
 
+def test_parsed_edges_skip_the_builders_check(monkeypatch):
+    """Every parser hands over edges it has checked, so the builder's own
+    check never sees one: headed (canonical chunks past the switch, and
+    chunks read line by line), DIMACS and header-less."""
+
+    def refuse(edges, n):
+        raise AssertionError("parsed edges went through the builder's check")
+
+    monkeypatch.setattr(graph_module, "_checked", refuse)
+    monkeypatch.setattr(graph_module, "_CHUNK", 4096)
+    with pytest.raises(AssertionError):
+        Graph.from_edges(2, [(0, 1)])
+    rnd = random.Random(46)
+    dense = edge_pairs(600, 0.5, rnd)
+    assert len(dense) > _switch(600)
+    body = [f"{u} {v}" for u, v in edge_pairs(40, 0.3, rnd)]
+    noisy = [f"{line}  # c" if i % 7 == 0 else line.replace(" ", "\t") if i % 5 == 0 else line
+             for i, line in enumerate(body)]
+    cases = [
+        (load_graph, ref.load_edge_list, "n 600\n" + "".join(f"{u} {v}\n" for u, v in dense)),
+        (load_graph, ref.load_edge_list, "n 40\n" + "\n".join(noisy)),
+        (lambda s: load_graph(s, "dimacs"), ref.load_dimacs,
+         "c x\np edge 40 0\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in edge_pairs(40, 0.3, rnd))),
+        (load_graph, ref.load_edge_list, "".join(f"v{u} w{v}\n" for u, v in edge_pairs(40, 0.3, rnd))),
+    ]
+    for new, old, text in cases:
+        result = outcome(new, text)
+        assert result[0] == "graph" and result[3]
+        assert result == outcome(old, text)
+
+
 def _switch(n: int) -> int:
     side = 1 << max(n - 1, 0).bit_length()
     return side * side >> 5
