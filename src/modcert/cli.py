@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .absorb import (
     AbsorptionProblem,
@@ -54,7 +54,7 @@ def _ids(graph: Graph, spec: str) -> list[int]:
     return graph.ids_of(_names(spec))
 
 
-def _emit(args, payload: dict, human: list[str]) -> None:
+def _emit(args, payload: dict, human: Iterable[str]) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, allow_nan=False))
     else:
@@ -89,17 +89,19 @@ def _problem_from_args(args, graph: Graph) -> AbsorptionProblem:
     return AbsorptionProblem.build(witness, _ids(graph, args.core))
 
 
+def _absorb_lines(payload: dict) -> Iterator[str]:
+    # A generator, so that a --json run does not serialize the payload twice.
+    yield f"certificate: {payload['kind']} (verified)"
+    yield json.dumps(payload, indent=2)
+
+
 def _cmd_absorb(args) -> int:
     graph = _load(args)
     # solve_core_correction checks the certificate before returning it.
     certificate = solve_core_correction(_problem_from_args(args, graph))
     payload = certificate_to_json(certificate, name_of=graph.name_of)
     payload["verified"] = True
-    kind = payload["kind"]
-    _emit(args, payload, [
-        f"certificate: {kind} (verified)",
-        json.dumps(payload, indent=2),
-    ])
+    _emit(args, payload, _absorb_lines(payload))
     return 0 if isinstance(certificate, DeletionCertificate) else 1
 
 
@@ -306,7 +308,7 @@ def _cmd_verify_cert(args) -> int:
     # A certificate of the wrong shape, or one whose q or core contradicts the
     # command line, is rejected (exit 2) before the graph is read.  Every
     # verdict needs the graph and a valid problem, so exit 1 still comes after.
-    with open(args.certificate, "r", encoding="utf-8") as handle:
+    with open(args.certificate, "r", encoding="utf-8-sig") as handle:
         claims = certificate_from_json(json.load(handle))
     check_claims(claims, args.q, sorted(set(_names(args.core))))
     graph = _load(args)

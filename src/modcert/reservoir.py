@@ -15,7 +15,12 @@ seeds ``random.Random((seed << 32) + t)`` and, for the uniform distribution,
 its N samples are the values of N successive ``getrandbits(m)`` calls.  They
 are drawn in blocks of whole 32-bit words (one ``getrandbits(32 * w * k)`` per
 block of k samples, w = ceil(m / 32)), which consumes the same MT19937 words
-in the same order and leaves the generator in the same state.
+in the same order and leaves the generator in the same state.  The trial
+loop keeps that stream.  For uniform samples of at most 8 bits in one block it
+reseeds one generator per trial instead of building a new one, and a trial
+stops drawing once its verdict is known: it draws one MT19937 state's worth of
+samples (624 words) first, and the rest of its N only while some basis trace
+is still below q.
 """
 
 from __future__ import annotations
@@ -105,6 +110,16 @@ def trial_rng(seed: int, trial: int) -> random.Random:
 _BLOCK = 1 << 16
 # _TOP_BITS[m] maps a byte to its top m bits, for m = 1..8.
 _TOP_BITS = [None] + [bytes(b >> (8 - m) for b in range(256)) for m in range(1, 9)]
+# 32-bit words in one MT19937 state; a seeded generator hands out this many
+# before its next twist.
+_STATE_WORDS = 624
+
+
+def _top_bytes(draw: int, k: int, table: bytes) -> bytes:
+    """The values of k successive ``getrandbits(m)`` calls, m <= 8, from one
+    draw of 32k bits, one byte each; ``table`` is ``_TOP_BITS[m]``."""
+    # Byte 3 of each little-endian word is its top byte.
+    return draw.to_bytes(4 * k, "little")[3::4].translate(table)
 
 
 def _uniform_draws(m: int, n: int, rng: random.Random) -> Iterator[Sequence[int]]:
@@ -123,11 +138,11 @@ def _uniform_draws(m: int, n: int, rng: random.Random) -> Iterator[Sequence[int]
     drop = 32 * words - m  # low bits dropped from the top word
     for start in range(0, n, _BLOCK):
         k = min(_BLOCK, n - start)
-        raw = rng.getrandbits(8 * span * k).to_bytes(span * k, "little")
+        draw = rng.getrandbits(8 * span * k)
         if m <= 8:
-            # Byte 3 of each little-endian word is its top byte.
-            yield raw[3::4].translate(_TOP_BITS[m])
+            yield _top_bytes(draw, k, _TOP_BITS[m])
         else:
+            raw = draw.to_bytes(span * k, "little")
             values = (int.from_bytes(raw[i:i + span], "little") for i in range(0, span * k, span))
             yield [(v & low) | (v >> (low_bits + drop)) << low_bits for v in values]
 
@@ -193,6 +208,41 @@ def _spans(core_size: int, masks: Sequence[int]) -> bool:
     return rank(quotient_matrix(masks, range(core_size))[0]) == core_size - 1
 
 
+def _failed_trials(spec: ReservoirSpec, basis: tuple[int, ...]) -> Iterator[Counter | None]:
+    """Per trial, in order: None if every basis mask reaches multiplicity q,
+    else the counts of all N draws of the trial.
+
+    Byte draws (uniform, m <= 8, one block) reseed one generator to the state
+    of ``trial_rng`` and draw past the first MT19937 state only while some
+    basis mask is below q: counts only grow, so a trial that holds q copies of
+    every basis mask cannot fail.
+    """
+    q = spec.q
+    m, n = spec.core_size, spec.samples
+    if spec.distribution != "uniform" or m > 8 or n > _BLOCK:
+        for trial in range(spec.trials):
+            counts = _draw_counts(spec, trial_rng(spec.seed, trial))
+            yield counts if any(counts.get(mask, 0) < q for mask in basis) else None
+        return
+    table = _TOP_BITS[m]
+    first = min(n, _STATE_WORDS)
+    rest = n - first
+    first_bits, rest_bits = 32 * first, 32 * rest
+    rng = random.Random()
+    reseed, getrandbits = rng.seed, rng.getrandbits
+    base = spec.seed << 32
+    for trial in range(spec.trials):
+        reseed(base + trial)
+        block = _top_bytes(getrandbits(first_bits), first, table)
+        # A one-vertex core has an empty basis: its trials never fail.
+        if min(map(block.count, basis), default=q) >= q:
+            yield None
+            continue
+        if rest:
+            block += _top_bytes(getrandbits(rest_bits), rest, table)
+        yield Counter(block) if min(map(block.count, basis)) < q else None
+
+
 class AvailabilityReport(NamedTuple):
     spec: ReservoirSpec
     basis: tuple[int, ...]
@@ -250,30 +300,16 @@ def estimate_availability(
     failures = 0
     spanning = 0
     bits = []
-    # Read once: the comprehensions below run per mask, and a NamedTuple
-    # field read is a descriptor call.
     q = spec.q
-    # Uniform draws of at most 8 bits in one block are one bytes object, so
-    # bytes.count tests each basis mask and only a failing trial counts every
-    # draw.
-    byte_draws = spec.distribution == "uniform" and m <= 8 and spec.samples <= _BLOCK
-    for trial in range(spec.trials):
-        rng = trial_rng(spec.seed, trial)
-        if byte_draws:
-            (block,) = _uniform_draws(m, spec.samples, rng)
-            failed = any(block.count(mask) < q for mask in basis_masks)
-        else:
-            counts = _draw_counts(spec, rng)
-            failed = any(counts.get(mask, 0) < q for mask in basis_masks)
-        failures += failed
-        bits.append("1" if failed else "0")
-        if failed:
-            if byte_draws:
-                counts = Counter(block)
-            spanning += _spans(m, [mask for mask, count in counts.items() if count >= q])
-        else:
+    for counts in _failed_trials(spec, basis_masks):
+        if counts is None:
             # The surviving basis spans: _verify_basis checked it above.
+            bits.append("0")
             spanning += 1
+        else:
+            bits.append("1")
+            failures += 1
+            spanning += _spans(m, [mask for mask, count in counts.items() if count >= q])
     bound = (m - 1) * math.exp(-spec.samples * p / 8.0)
     return AvailabilityReport(
         spec=spec,

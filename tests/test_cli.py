@@ -159,6 +159,24 @@ class TestAbsorbChecksOnce:
         assert calls == {"_deletion_outcome": deletion_checks, "_cut_failure": cut_checks,
                          "verify_parity_cut": 0}
 
+    @pytest.mark.parametrize("problem", [DELETION_PROBLEM, CUT_PROBLEM], ids=["deletion", "cut"])
+    @pytest.mark.parametrize("flag", ["--json", None])
+    def test_payload_serialized_once(self, tmp_path, capsys, monkeypatch, problem, flag):
+        # The human lines embed the payload's JSON; a --json run must not build them.
+        dumps = json.dumps
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", spy)
+        argv = [arg for arg in _absorb_args(write_graph(tmp_path, problem.graph), problem) if arg != "--json"]
+        code, out, err = run_cli(capsys, argv + ([flag] if flag else []))
+        assert code in (0, 1), err
+        assert len(calls) == 1
+        assert json.loads(out if flag else out.split("\n", 1)[1])["verified"] is True
+
     @pytest.mark.parametrize("problem, outcome_type, field, message", [
         (DELETION_PROBLEM, "Solution", "x", "deletion certificate failed independent verification"),
         (CUT_PROBLEM, "Dual", "y", "parity cut fails to detect the defect"),
@@ -374,6 +392,21 @@ class TestVerifyCert:
             "verify-cert", target, "--json", "--certificate", str(cert_path),
         ] + args)
         assert code == 0
+        assert json.loads(out)["valid"] is True
+
+    def test_certificate_with_byte_order_mark_verifies(self, tmp_path, capsys):
+        target = write_graph(tmp_path, cycle(4))
+        args = ["--core", "0,1", "--witness", "0,1,2,3", "--q", "2"]
+        code, out, _ = run_cli(capsys, ["absorb", target, "--json"] + args)
+        assert code == 0
+        runs = []
+        for name, data in (("plain.json", out.encode("utf-8")), ("bom.json", b"\xef\xbb\xbf" + out.encode("utf-8"))):
+            cert_path = tmp_path / name
+            cert_path.write_bytes(data)
+            runs.append(run_cli(capsys, ["verify-cert", target, "--json", "--certificate", str(cert_path)] + args))
+        assert runs[0] == runs[1]
+        code, out, err = runs[1]
+        assert code == 0, err
         assert json.loads(out)["valid"] is True
 
     def test_tampered_certificate_rejected(self, tmp_path, capsys):

@@ -6,7 +6,9 @@ draw and runs the span check in every trial.  Results must be equal, not
 merely alike in distribution: the same values in the same order, the same
 generator state afterwards, and the same reports and trace tables.  The
 report cases include failing trials, where the span check decides, and
-trials whose available traces do not span.
+trials whose available traces do not span.  The early-verdict cases sit
+around one MT19937 state (624 samples), where a byte-drawn trial decides
+whether it needs the rest of its draws.
 """
 
 import random
@@ -116,6 +118,74 @@ def test_single_vertex_core_with_user_basis_matches_reference(basis):
 def test_user_basis_of_wrong_length_or_outside_the_core_rejected(m, basis, message):
     with pytest.raises(ValueError, match=message):
         estimate_availability(ReservoirSpec(core_size=m, q=2, samples=8, trials=2, seed=0), basis)
+
+
+# One MT19937 state: a byte-drawn trial decides from this many samples first.
+STATE = 624
+
+
+def first_state_decides(spec: ReservoirSpec, trial: int) -> bool:
+    """Whether every basis mask reaches q among the trial's first STATE samples,
+    recounted from the documented stream without modcert."""
+    rng = random.Random((spec.seed << 32) + trial)
+    first = [rng.getrandbits(spec.core_size) for _ in range(min(spec.samples, STATE))]
+    return all(first.count(1 << i) >= spec.q for i in range(1, spec.core_size))
+
+
+@pytest.mark.parametrize("samples", [1, STATE - 1, STATE, STATE + 1, 2003])
+@pytest.mark.parametrize("m,q", [(1, 2), (3, 1), (3, 2), (6, 2), (6, 4), (8, 1)])
+def test_early_verdict_matches_reference_around_one_state(m, q, samples):
+    assert_same_report(ReservoirSpec(core_size=m, q=q, samples=samples, trials=40, seed=1000 * m + samples))
+
+
+@pytest.mark.parametrize("m,q,samples,seed", [(6, 8, 2003, 5), (5, 16, 1000, 7)])
+def test_basis_reaching_q_after_the_first_state_matches_reference(m, q, samples, seed):
+    spec = ReservoirSpec(core_size=m, q=q, samples=samples, trials=80, seed=seed)
+    report = assert_same_report(spec)
+    late = [t for t in range(spec.trials)
+            if not first_state_decides(spec, t) and report.per_trial_failures[t] == "0"]
+    # Some trials pass only on samples past the first state: the early check alone would fail them.
+    assert late
+
+
+@pytest.mark.parametrize("m,q,samples", [(4, 64, STATE + 1), (6, 32, 2003), (3, 64, 500)])
+def test_large_q_where_most_trials_fail_matches_reference(m, q, samples):
+    spec = ReservoirSpec(core_size=m, q=q, samples=samples, trials=60, seed=q + samples)
+    report = assert_same_report(spec)
+    assert report.failures > spec.trials // 2
+
+
+@pytest.mark.parametrize("samples", [STATE - 1, STATE, STATE + 1, 2003])
+def test_byte_trials_draw_the_rest_only_when_undecided(monkeypatch, samples):
+    calls = []  # per seed() call: its argument and the widths drawn after it
+
+    class SpyRandom(random.Random):
+        def seed(self, a=None, version=2):
+            calls.append((a, []))
+            super().seed(a, version)
+
+        def getrandbits(self, k):
+            calls[-1][1].append(k)
+            return super().getrandbits(k)
+
+    spec = ReservoirSpec(core_size=6, q=4, samples=samples, trials=120, seed=9)
+    monkeypatch.setattr(random, "Random", SpyRandom)
+    report = estimate_availability(spec)
+    monkeypatch.undo()
+    assert report.to_json_dict() == ref.estimate_availability(spec).to_json_dict()
+    # One generator for the spec, built unseeded and then reseeded per trial.
+    assert calls[0] == (None, [])
+    first = min(samples, STATE)
+    expected = []
+    for trial in range(spec.trials):
+        widths = [32 * first]
+        if samples > first and not first_state_decides(spec, trial):
+            widths.append(32 * (samples - first))
+        expected.append(((spec.seed << 32) + trial, widths))
+    assert calls[1:] == expected
+    if samples > STATE:
+        # Trials of both kinds occur.
+        assert 0 < sum(len(widths) == 2 for _, widths in expected) < spec.trials
 
 
 @settings(max_examples=150, deadline=None)
