@@ -334,10 +334,10 @@ def _canonical_edges(chunk: str, ids: dict[str, int]) -> zip | None:
         ends = itemgetter(*tokens)(ids)
     except KeyError:
         return None
-    us, vs = ends[::2], ends[1::2]
-    if any(map(eq, us, vs)):
+    check, pairs = iter(ends), iter(ends)
+    if any(map(eq, check, check)):
         return None
-    return zip(us, vs)
+    return zip(pairs, pairs)
 
 
 def _numbered_edges(lines: Iterator[tuple[int, str]], n: int) -> Iterator[tuple[int, int]]:
