@@ -42,7 +42,8 @@ from .witness import ModularWitness, is_q_modular
 
 
 def _load(args) -> Graph:
-    with open(args.graph, "r", encoding="utf-8-sig") as handle:
+    # load_graph ignores a leading byte order mark itself.
+    with open(args.graph, "r", encoding="utf-8") as handle:
         return load_graph(handle, fmt=args.format)
 
 

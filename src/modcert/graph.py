@@ -252,12 +252,15 @@ def load_graph(stream: IO[str], fmt: str = "edge-list") -> Graph:
 
     DIMACS: ``c`` comments, one ``p edge <n> <m>`` header, ``e u v`` lines
     with 1-based endpoints.
+
+    One leading byte order mark (U+FEFF) is ignored in either format.
     """
+    if fmt not in ("edge-list", "dimacs"):
+        raise ValueError(f"unknown graph format {fmt!r}")
+    lines = enumerate(chain([stream.readline().removeprefix("\ufeff")], stream), start=1)
     if fmt == "edge-list":
-        return _load_edge_list(stream)
-    if fmt == "dimacs":
-        return _load_dimacs(stream)
-    raise ValueError(f"unknown graph format {fmt!r}")
+        return _load_edge_list(lines, stream)
+    return _load_dimacs(lines)
 
 
 def _content_tokens(raw: str) -> list[str]:
@@ -266,8 +269,8 @@ def _content_tokens(raw: str) -> list[str]:
     return raw.split()
 
 
-def _load_edge_list(stream: IO[str]) -> Graph:
-    lines = enumerate(stream, start=1)
+def _load_edge_list(lines: Iterator[tuple[int, str]], stream: IO[str]) -> Graph:
+    """An edge list; ``lines`` numbers the lines of ``stream``, which a headed list reads on in chunks."""
     for lineno, raw in lines:
         tokens = _content_tokens(raw)
         if not tokens:
@@ -391,8 +394,7 @@ def _load_named_edges(lines: Iterator[tuple[int, str]]) -> Graph:
     return Graph.from_edges(len(ids), _Parsed(edges), names=list(ids))
 
 
-def _load_dimacs(stream: IO[str]) -> Graph:
-    lines = enumerate(stream, start=1)
+def _load_dimacs(lines: Iterator[tuple[int, str]]) -> Graph:
     for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("c"):

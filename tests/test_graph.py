@@ -86,6 +86,19 @@ class TestLoadGraph:
             parse("# header\nn -3\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("fmt, text", [
+        ("edge-list", "n 3\n0 1\n1 2\n"),
+        ("edge-list", "0 1\n1 2\n"),
+        ("dimacs", "p edge 3 2\ne 1 2\ne 2 3\n"),
+    ], ids=["headed", "header-less", "dimacs"])
+    def test_leading_byte_order_mark_is_ignored(self, fmt, text):
+        g = parse("\ufeff" + text, fmt=fmt)
+        assert g == parse(text, fmt=fmt)
+        assert (g.n, g.adj_masks) == (3, (0b010, 0b101, 0b010))
+
+    def test_only_one_byte_order_mark_is_ignored(self):
+        assert parse("\ufeff\ufeffn 3\n").names == ("\ufeffn", "3")
+
     def test_dimacs_negative_count_rejected(self):
         with pytest.raises(ParseError, match="negative vertex count -1") as err:
             parse("c x\np edge -1 0\n", fmt="dimacs")
