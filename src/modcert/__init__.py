@@ -4,9 +4,8 @@ Core pipeline: parity partition as the base congruence, trace tables over a
 retained core, exact next-bit obstruction classes, and an absorption engine
 that emits either a verified deletion certificate or a verified parity-cut
 obstruction, with a reservoir simulator alongside.  The brute-force oracles
-and the instance builders are imported from their submodules,
-``modcert.oracle`` and ``modcert.synth``, so that importing the package
-does not load them.
+are imported from their submodule, ``modcert.oracle``, so that importing
+the package does not load them.
 """
 
 from .absorb import (
@@ -32,7 +31,7 @@ from .errors import InternalInvariantError, ParseError
 from .gf2 import BitMatrix, BitVector, Dual, Solution, mat_vec, rank, solve_or_dual
 from .graph import Graph, induced_degrees, is_regular, load_graph
 from .parity import parity_partition, two_modular_part, verify_even_partition
-from .reservoir import AvailabilityReport, ReservoirSpec, estimate_availability, sample_reservoir
+from .reservoir import AvailabilityReport, ReservoirSpec, estimate_availability
 from .traces import (
     TraceTable,
     complement_difference,
@@ -50,7 +49,6 @@ from .witness import (
     TopBitLabel,
     affine_lift_check,
     is_q_modular,
-    quotient_coords,
     terminal_check,
     top_bit_label,
 )

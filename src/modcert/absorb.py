@@ -21,7 +21,7 @@ from .errors import InternalInvariantError
 from .gf2 import BitMatrix, Dual, Solution, pivot_columns, solve_or_dual
 from .graph import bits_of, check_subset, mask_of
 from .traces import PairTraceView, TraceTable, compute_traces, split_witness
-from .witness import ModularWitness, TopBitLabel, is_q_modular, quotient_matrix, top_bit_label
+from .witness import ModularWitness, TopBitLabel, _check_modulus, is_q_modular, quotient_matrix, top_bit_label
 
 SCHEMA_VERSION = "modcert-v1"
 
@@ -111,8 +111,7 @@ def solve_defect(table: TraceTable, q: int, label_mask: int) -> Union[TraceSelec
     """
     if table.size < 1:
         raise ValueError("core must be nonempty")
-    if q < 1 or q & (q - 1):
-        raise ValueError(f"q must be a positive power of two, got {q}")
+    _check_modulus(q)
     masks, matrix = trace_class_matrix(table, q)
     _, target = quotient_matrix((), table.core, label_mask)
     outcome = solve_or_dual(matrix, target)
@@ -345,8 +344,7 @@ def twin_tail_decompose(table: TraceTable, q: int) -> tuple[tuple[int, tuple[int
 
     None when some trace's multiplicity is not divisible by q.
     """
-    if q < 1 or q & (q - 1):
-        raise ValueError(f"q must be a positive power of two, got {q}")
+    _check_modulus(q)
     for mask in table.masks():
         if table.count(mask) % q:
             return None
@@ -449,14 +447,14 @@ def certificate_to_json(cert: Certificate, name_of=str) -> dict:
     return base
 
 
-def certificate_from_json(payload, ids_of=None) -> Certificate:
-    """Parse the wire format back; ``ids_of`` maps name lists to id lists.
+def certificate_from_json(payload) -> Certificate:
+    """Parse the wire format back, with the vertices still names.
 
     A payload of the wrong shape (not an object, a field missing or of the
     wrong JSON type, a vertex name listed twice) raises ValueError, as does
-    an unknown version or kind.  Without ``ids_of`` the vertices stay names,
-    each list sorted by name: the claims alone, read without a graph, which
-    :func:`certificate_ids` maps to ids later.
+    an unknown version or kind.  Each name list is sorted by name: the
+    claims alone, read without a graph, which :func:`certificate_ids` maps
+    to ids.
     """
     if not isinstance(payload, dict):
         raise ValueError("certificate must be a JSON object")
@@ -485,7 +483,7 @@ def certificate_from_json(payload, ids_of=None) -> Certificate:
         cert = ParityCut(q=q, lift=lift, core=core, members=_json_names(payload, "parity_cut_Y"))
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    return cert if ids_of is None else certificate_ids(cert, ids_of)
+    return cert
 
 
 def certificate_ids(cert: Certificate, ids_of) -> Certificate:

@@ -76,14 +76,6 @@ class BitVector(_BitVectorFields):
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError(f"length mismatch: {self.length} vs {other.length}")
-        return BitVector(self.length, self.bits ^ other.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(self.bits >> i & 1) for i in range(self.length))
-
 
 class _BitMatrixFields(NamedTuple):
     rows: int

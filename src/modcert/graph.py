@@ -3,8 +3,8 @@
 Vertices are the integers 0..n-1.  Input files may name vertices arbitrarily;
 the original names are kept so reports and certificates can refer back to the
 input.  Adjacency is stored once, as one bit-mask per vertex (bit v of
-``adj_masks[u]`` is set exactly when uv is an edge); neighbor and edge
-iteration read the masks.  :meth:`Graph.from_edges` is the one builder: it
+``adj_masks[u]`` is set exactly when uv is an edge).
+:meth:`Graph.from_edges` is the one builder: it
 sets bits in packed byte rows and turns each row into an integer once.  For
 the first N²/32 edges (N is n rounded up to a power of two) it sets both
 directions of each edge; after that only row u's bit v, and once the edges
@@ -82,24 +82,8 @@ class Graph(_GraphFields):
         masks = tuple(int.from_bytes(row, "little") for row in rows)
         return cls(n=n, names=name_tuple, adj_masks=masks)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits_of(self.adj_masks[v]))
-
     def degree(self, v: int) -> int:
         return self.adj_masks[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj_masks[u] >> v & 1)
-
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            above = u + 1
-            for v in bits_of(self.adj_masks[u] >> above):
-                yield (u, above + v)
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2

@@ -32,8 +32,7 @@ from collections import Counter
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from .gf2 import rank
-from .traces import TraceTable
-from .witness import quotient_matrix
+from .witness import _check_modulus, quotient_matrix
 
 RNG_ALGORITHM = "mt19937"
 
@@ -65,8 +64,7 @@ class ReservoirSpec(_ReservoirSpecFields):
     ) -> "ReservoirSpec":
         if core_size < 1:
             raise ValueError(f"core size must be >= 1, got {core_size}")
-        if q < 1 or q & (q - 1):
-            raise ValueError(f"q must be a positive power of two, got {q}")
+        _check_modulus(q)
         if samples < 1:
             raise ValueError(f"sample count must be >= 1, got {samples}")
         if trials < 1:
@@ -166,29 +164,6 @@ def _draw_counts(spec: ReservoirSpec, rng: random.Random) -> Counter:
         index = min(bisect.bisect_right(cumulative, rng.random()), last)
         counts[masks[index]] += 1
     return counts
-
-
-def sample_reservoir(spec: ReservoirSpec, trial: int = 0) -> TraceTable:
-    """One sampled tail as a trace table over a synthetic core 0..m-1.
-
-    Realizer ids start at m.  Uniform samples take them in draw order; with
-    an explicit distribution the draws are counted first, so the ids are
-    grouped by ascending mask.  Either way the table is a deterministic
-    function of (spec, trial).
-    """
-    rng = trial_rng(spec.seed, trial)
-    m = spec.core_size
-    draws: list[int] = []
-    if spec.distribution == "uniform":
-        draws = [v for block in _uniform_draws(m, spec.samples, rng) for v in block]
-    else:
-        counts = _draw_counts(spec, rng)
-        for mask in sorted(counts):
-            draws.extend([mask] * counts[mask])
-    grouped: dict[int, list[int]] = {}
-    for index, mask in enumerate(draws):
-        grouped.setdefault(mask, []).append(m + index)
-    return TraceTable(core=tuple(range(m)), entries={k: tuple(v) for k, v in grouped.items()})
 
 
 def uniform_basis(core_size: int) -> tuple[tuple[int, ...], float]:

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 from .errors import InternalInvariantError
 from .gf2 import BitVector
 from .graph import Graph, bits_of, check_subset, mask_of
-from .witness import quotient_coords, quotient_matrix
+from .witness import quotient_matrix
 
 
 class TraceTable(NamedTuple):
@@ -134,7 +134,8 @@ def complement_difference(table: TraceTable) -> tuple[tuple[int, ...], BitVector
     vector = tuple(by_vertex.values())
     if len({r - x for r, x in zip(tail_degrees(table), vector)}) != 1:
         raise InternalInvariantError("oriented-difference representative is not a constant shift of the tail counts")
-    return vector, quotient_coords(BitVector.from_bits(vector))
+    odd = mask_of(v for v, value in by_vertex.items() if value & 1)
+    return vector, quotient_matrix((), table.core, odd)[1]
 
 
 def next_bit_obstruction(rho: Sequence[int], m: int) -> BitVector | None:
@@ -154,7 +155,8 @@ def next_bit_obstruction(rho: Sequence[int], m: int) -> BitVector | None:
     for value in rho:
         if (value - c) % modulus:
             return None
-    return quotient_coords(BitVector.from_bits((value - c) // modulus for value in rho))
+    bits = BitVector.from_bits((value - c) // modulus for value in rho).bits
+    return quotient_matrix((), range(len(rho)), bits)[1]
 
 
 def oriented_orbit_form(table: TraceTable, m: int) -> BitVector | None:

@@ -6,9 +6,10 @@ degrees live in an interval shorter than q, so congruent means equal.  For a
 power-of-two modulus the residue lifts to modulo 2q with one extra bit per
 vertex, the top-bit label; everything downstream manipulates that label in
 the quotient of GF(2)^U by the constant vectors, whose coordinates relative
-to the lowest core vertex are computed here.  Subsets of the core are
-bit-masks over vertex ids; the quotient's rows are the only place where a
-core vertex's position in the sorted core matters.
+to the lowest core vertex are computed here, by :func:`quotient_matrix`
+alone.  Subsets of the core are bit-masks over vertex ids; the quotient's
+rows are the only place where a core vertex's position in the sorted core
+matters.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ def is_q_modular(graph: Graph, members, q: int) -> ModularityCheck:
     return ModularityCheck(True, residue, None)
 
 
-def _is_power_of_two(q: int) -> bool:
-    return q >= 1 and q & (q - 1) == 0
+def _check_modulus(q: int) -> None:
+    """Raise ValueError unless q is a positive power of two, the modulus of every dyadic step."""
+    if q < 1 or q & (q - 1):
+        raise ValueError(f"q must be a positive power of two, got {q}")
 
 
 class ModularWitness(NamedTuple):
@@ -61,8 +64,7 @@ class ModularWitness(NamedTuple):
 
     @classmethod
     def build(cls, graph: Graph, members, q: int) -> "ModularWitness":
-        if not _is_power_of_two(q):
-            raise ValueError(f"witness modulus must be a power of two, got {q}")
+        _check_modulus(q)
         s = check_subset(graph, members)
         check = is_q_modular(graph, s, q)
         if not check.modular:
@@ -136,18 +138,6 @@ def top_bit_label(witness: ModularWitness, members) -> TopBitLabel:
     return TopBitLabel(base_lift=d, q=witness.q, labels=labels)
 
 
-def quotient_coords(x: BitVector) -> BitVector:
-    """Coordinates of a vector modulo the constant line, relative to entry 0.
-
-    Entry i of the result is x[i+1] + x[0]; two vectors map to the same
-    coordinates exactly when they differ by a constant vector.
-    """
-    if x.length < 1:
-        raise ValueError("quotient coordinates need a vector of length >= 1")
-    bits = x.bits ^ (1 << x.length) - 1 if x.bits & 1 else x.bits
-    return BitVector(x.length - 1, bits >> 1)
-
-
 def quotient_matrix(masks, core, target: int = 0) -> tuple[BitMatrix, BitVector]:
     """Quotient coordinates of vertex-id masks over ``core``, and of ``target``.
 
@@ -156,7 +146,8 @@ def quotient_matrix(masks, core, target: int = 0) -> tuple[BitMatrix, BitVector]
     coordinates and the vector holds the target's.  Row i is thus the masks
     holding core[i + 1], flipped in every column whose mask holds the base,
     so only the masks' own bits are visited.  Rows are filled byte-wise and
-    converted once each.
+    converted once each.  Two targets get the same coordinates exactly
+    when they differ by the whole core, a constant vector.
     """
     if len(core) < 1:
         raise ValueError("core must be nonempty")

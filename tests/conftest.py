@@ -3,8 +3,13 @@ import random
 import pytest
 
 from modcert.absorb import AbsorptionProblem
-from modcert.graph import Graph
+from modcert.graph import Graph, bits_of
 from modcert.witness import ModularWitness
+
+
+def edges_of(graph: Graph) -> list[tuple[int, int]]:
+    """The edges as ``(u, v)`` with u < v, in order, read off the adjacency masks."""
+    return [(u, v) for u, mask in enumerate(graph.adj_masks) for v in bits_of(mask) if u < v]
 
 
 def cycle(n: int) -> Graph:
@@ -51,7 +56,7 @@ def relabeled(problem: AbsorptionProblem, rnd: random.Random) -> AbsorptionProbl
     names = [""] * graph.n
     for v in range(graph.n):
         names[new_id[v]] = graph.name_of(v)
-    copy = Graph.from_edges(graph.n, [(new_id[u], new_id[v]) for u, v in graph.edges()], names=names)
+    copy = Graph.from_edges(graph.n, [(new_id[u], new_id[v]) for u, v in edges_of(graph)], names=names)
     witness = ModularWitness.build(copy, [new_id[v] for v in problem.witness.members], problem.q)
     return AbsorptionProblem.build(witness, [new_id[v] for v in problem.core])
 

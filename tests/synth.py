@@ -25,10 +25,10 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .absorb import AbsorptionProblem, twin_tail_decompose
-from .errors import InternalInvariantError
-from .graph import Graph, bits_of
-from .witness import ModularWitness
+from modcert.absorb import AbsorptionProblem, twin_tail_decompose
+from modcert.errors import InternalInvariantError
+from modcert.graph import Graph, bits_of
+from modcert.witness import ModularWitness
 
 
 def realize_problem(

@@ -10,6 +10,7 @@ from modcert.absorb import (
     all_tail_identity_check,
     basis_tail_check,
     certificate_from_json,
+    certificate_ids,
     certificate_to_json,
     pair_trace_sufficiency,
     rank_rich,
@@ -25,9 +26,9 @@ from modcert.absorb import (
 from modcert.gf2 import _BLOCK, _CUTOVER, rank
 from modcert.graph import Graph
 from modcert.oracle import brute_force_absorption
-from modcert.synth import path_pair_trace_problem, realize_problem, twin_pair_example
 from modcert.traces import pair_trace_graph
 from modcert.witness import ModularWitness, is_q_modular, terminal_check
+from synth import path_pair_trace_problem, realize_problem, twin_pair_example
 
 from conftest import relabeled
 
@@ -429,7 +430,7 @@ class TestCertificateJson:
         cert = solve_core_correction(problem)
         payload = certificate_to_json(cert, name_of=problem.graph.name_of)
         assert payload["version"] == "modcert-v1"
-        parsed = certificate_from_json(payload, ids_of=problem.graph.ids_of)
+        parsed = certificate_ids(certificate_from_json(payload), problem.graph.ids_of)
         assert parsed.chosen == cert.chosen
         assert verify_deletion_certificate(problem, parsed)
 
@@ -437,7 +438,7 @@ class TestCertificateJson:
         problem = realize_problem(4, 2, [0b0011, 0b1100], 0b0001)
         cert = solve_core_correction(problem)
         payload = certificate_to_json(cert, name_of=problem.graph.name_of)
-        parsed = certificate_from_json(payload, ids_of=problem.graph.ids_of)
+        parsed = certificate_ids(certificate_from_json(payload), problem.graph.ids_of)
         assert parsed == cert
         assert verify_parity_cut(problem, parsed.members)
 
@@ -447,7 +448,7 @@ class TestCertificateJson:
         payload = certificate_to_json(cert)
         payload["version"] = "modcert-v999"
         with pytest.raises(ValueError):
-            certificate_from_json(payload, ids_of=lambda names: [int(n) for n in names])
+            certificate_from_json(payload)
 
 
 class TestRelabelingInvariance:
@@ -488,7 +489,7 @@ class TestRelabelingInvariance:
             kinds.add(type(certs[0]))
             for cert, source, target in ((certs[0], first, second), (certs[1], second, first)):
                 payload = certificate_to_json(cert, name_of=source.graph.name_of)
-                moved = certificate_from_json(payload, ids_of=target.graph.ids_of)
+                moved = certificate_ids(certificate_from_json(payload), target.graph.ids_of)
                 assert verify_certificate(target, moved)
         assert kinds == {DeletionCertificate, ParityCut}
         assert scattered >= 30

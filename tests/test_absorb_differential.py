@@ -19,7 +19,7 @@ from modcert.absorb import ParityCut, _cut_failure, solve_core_correction, verif
 from modcert.errors import InternalInvariantError
 from modcert.gf2 import BitVector
 from modcert.graph import mask_of
-from modcert.synth import realize_problem
+from synth import realize_problem
 
 from conftest import relabeled
 

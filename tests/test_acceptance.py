@@ -31,7 +31,6 @@ from modcert.oracle import (
 )
 from modcert.parity import parity_partition, two_modular_part, verify_even_partition
 from modcert.reservoir import ReservoirSpec, estimate_availability, uniform_sample_size
-from modcert.synth import path_pair_trace_problem, realize_problem, twin_pair_example
 from modcert.traces import (
     complement_difference,
     compute_traces,
@@ -47,8 +46,9 @@ from modcert.witness import (
     is_q_modular,
     terminal_check,
 )
+from synth import path_pair_trace_problem, realize_problem, twin_pair_example
 
-from conftest import random_graph
+from conftest import edges_of, random_graph
 
 
 def _report(number: int, name: str) -> None:
@@ -278,7 +278,7 @@ def test_criterion_9_affine_lift_equivalence():
 
 
 def _write_graph_file(path, graph) -> str:
-    lines = [f"n {graph.n}"] + [f"{u} {v}" for u, v in graph.edges()]
+    lines = [f"n {graph.n}"] + [f"{u} {v}" for u, v in edges_of(graph)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
 

@@ -7,14 +7,14 @@ import pytest
 from modcert.cli import main
 from modcert.graph import Graph
 from modcert.parity import verify_even_partition
-from modcert.synth import path_pair_trace_problem, realize_problem
+from synth import path_pair_trace_problem, realize_problem
 
-from conftest import complete_bipartite, cycle
+from conftest import complete_bipartite, cycle, edges_of
 
 
 def edge_list_text(graph: Graph) -> str:
     lines = [f"n {graph.n}"]
-    lines += [f"{u} {v}" for u, v in graph.edges()]
+    lines += [f"{u} {v}" for u, v in edges_of(graph)]
     return "\n".join(lines) + "\n"
 
 
@@ -121,6 +121,14 @@ class TestAbsorb:
         ])
         assert code == 2
         assert "not 2-modular" in err
+
+    def test_modulus_not_a_power_of_two_exit_two(self, tmp_path, capsys):
+        target = write_graph(tmp_path, cycle(4))
+        runs = [
+            run_cli(capsys, ["absorb", target, "--core", "0,1", "--witness", "0,1,2,3", "--q", "6"]),
+            run_cli(capsys, ["reservoir", "--m", "3", "--q", "6", "--samples", "8", "--seed", "1"]),
+        ]
+        assert runs == [(2, "", "error: q must be a positive power of two, got 6\n")] * 2
 
 
 def _absorb_args(target, problem) -> list[str]:

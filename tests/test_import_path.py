@@ -2,7 +2,7 @@
 
 Every CLI run is a fresh interpreter, so each module on the import path is
 paid for by every run.  ``dataclasses`` (with ``inspect``), ``traceback``
-and the oracle and instance-builder modules stay off it.  The modules whose
+and the oracle module stay off it.  The modules whose
 functions the benchmark tracer wraps must stay on it: the tracer wraps only
 modules already loaded by ``import modcert``.  ``-S`` keeps the host's
 ``site`` hooks out of the result.
@@ -14,7 +14,7 @@ import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-OFF_PATH = {"dataclasses", "inspect", "traceback", "modcert.oracle", "modcert.synth"}
+OFF_PATH = {"dataclasses", "inspect", "traceback", "modcert.oracle"}
 TRACED = ("graph", "gf2", "parity", "witness", "traces", "absorb", "reservoir", "cli")
 
 

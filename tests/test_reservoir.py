@@ -1,16 +1,23 @@
 import math
+from collections import Counter
 
 import pytest
 
+import _reference_reservoir as ref
 from modcert.absorb import TraceSelection, rank_rich, solve_defect
 from modcert.reservoir import (
     ReservoirSpec,
+    _draw_counts,
+    _uniform_draws,
     estimate_availability,
-    sample_reservoir,
     trial_rng,
     uniform_basis,
     uniform_sample_size,
 )
+
+
+def draw_counts(spec: ReservoirSpec, trial: int = 0) -> Counter:
+    return _draw_counts(spec, trial_rng(spec.seed, trial))
 
 
 class TestSpec:
@@ -38,32 +45,31 @@ class TestSpec:
         assert spec.distribution[0] == (0b01, 0.5)
 
 
-class TestSampleReservoir:
+class TestDrawCounts:
     def test_point_mass(self):
         spec = ReservoirSpec(core_size=3, q=2, samples=40, trials=1, seed=1,
                              distribution=(((0b101), 1.0),))
-        table = sample_reservoir(spec)
-        assert table.count(0b101) == 40
-        assert table.tail_size() == 40
+        assert draw_counts(spec) == {0b101: 40}
 
     def test_uniform_single_vertex_core(self):
         spec = ReservoirSpec(core_size=1, q=2, samples=50, trials=1, seed=2)
-        table = sample_reservoir(spec)
-        assert table.count(0) + table.count(1) == 50
+        counts = draw_counts(spec)
+        assert set(counts) <= {0, 1}
+        assert counts[0] + counts[1] == 50
 
     def test_uniform_counts_within_five_sigma(self):
         # 800 draws over 8 traces: mean 100, sigma = sqrt(800 * 1/8 * 7/8).
         spec = ReservoirSpec(core_size=3, q=2, samples=800, trials=1, seed=3)
-        table = sample_reservoir(spec)
+        counts = draw_counts(spec)
         sigma = math.sqrt(800 * (1 / 8) * (7 / 8))
         for mask in range(8):
-            assert abs(table.count(mask) - 100) < 5 * sigma
+            assert abs(counts[mask] - 100) < 5 * sigma
 
     def test_reproducible(self):
         spec = ReservoirSpec(core_size=4, q=2, samples=100, trials=1, seed=99)
-        assert sample_reservoir(spec) == sample_reservoir(spec)
-        assert sample_reservoir(spec, trial=3) == sample_reservoir(spec, trial=3)
-        assert sample_reservoir(spec) != sample_reservoir(spec, trial=1)
+        assert draw_counts(spec) == draw_counts(spec)
+        assert draw_counts(spec, trial=3) == draw_counts(spec, trial=3)
+        assert draw_counts(spec) != draw_counts(spec, trial=1)
 
     def test_trial_streams_do_not_depend_on_order(self):
         draws_a = trial_rng(5, 7).getrandbits(64)
@@ -103,7 +109,7 @@ class TestEstimateAvailability:
             basis, _ = uniform_basis(m)
             covered = 0
             for trial in range(spec.trials):
-                table = sample_reservoir(spec, trial)
+                table = ref.sample_reservoir(spec, trial)
                 if any(table.count(mask) < spec.q for mask in basis):
                     continue
                 covered += 1
@@ -156,12 +162,9 @@ class TestStreamPin:
         assert estimate_availability(spec).rank_rich_fraction == 0.725
 
     def test_wide_samples_pinned(self):
-        spec = ReservoirSpec(core_size=12, q=1, samples=4, trials=3, seed=7)
-        assert sample_reservoir(spec, trial=2).entries == {
-            187: (12,), 2357: (13,), 3072: (14,), 1349: (15,)}
-        spec = ReservoirSpec(core_size=40, q=1, samples=4, trials=3, seed=7)
-        assert sample_reservoir(spec, trial=2).entries == {
-            631556436403: (40,), 363999344202: (41,), 1068151292457: (42,), 613676423427: (43,)}
+        assert list(_uniform_draws(12, 4, trial_rng(7, 2))) == [[187, 2357, 3072, 1349]]
+        assert list(_uniform_draws(40, 4, trial_rng(7, 2))) == [
+            [631556436403, 363999344202, 1068151292457, 613676423427]]
 
 
 class TestUniformSampleSize:

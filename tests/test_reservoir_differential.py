@@ -4,7 +4,7 @@
 linear scan of the cumulative bounds, and the trial loop that counts every
 draw and runs the span check in every trial.  Results must be equal, not
 merely alike in distribution: the same values in the same order, the same
-generator state afterwards, and the same reports and trace tables.  The
+generator state afterwards, and the same reports and draw counts.  The
 report cases include failing trials, where the span check decides, and
 trials whose available traces do not span.  The early-verdict cases sit
 around one MT19937 state (624 samples), where a byte-drawn trial decides
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import _reference_reservoir as ref
 import modcert.reservoir as reservoir
-from modcert.reservoir import ReservoirSpec, estimate_availability, sample_reservoir
+from modcert.reservoir import ReservoirSpec, estimate_availability, trial_rng
 
 WIDTHS = list(range(1, 71)) + [96, 97, 128]
 
@@ -195,20 +195,28 @@ def test_random_reports_match_reference(m, q, samples, trials, seed):
     assert_same_report(ReservoirSpec(core_size=m, q=q, samples=samples, trials=trials, seed=seed))
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 8, 9, 31, 33, 70])
-def test_uniform_tables_match_reference(m):
-    spec = ReservoirSpec(core_size=m, q=2, samples=300, trials=3, seed=11)
+def assert_same_draws(spec):
+    """Every trial counts the same masks as the reference, in order of first draw."""
     for trial in range(spec.trials):
-        assert sample_reservoir(spec, trial) == ref.sample_reservoir(spec, trial)
+        got = reservoir._draw_counts(spec, trial_rng(spec.seed, trial))
+        assert list(got.items()) == list(ref._draw_counts(spec, trial_rng(spec.seed, trial)).items())
 
 
-def test_explicit_tables_match_reference():
+# Samples wider than a byte, and tails of more than one block, reach
+# ``_uniform_draws`` through ``_draw_counts``.
+@pytest.mark.parametrize("m,samples", [(1, 300), (2, 300), (5, 300), (8, 300), (9, 300), (31, 300),
+                                       (33, 300), (70, 300), (3, reservoir._BLOCK + 3),
+                                       (9, reservoir._BLOCK + 3)])
+def test_uniform_draws_match_reference(m, samples):
+    spec = ReservoirSpec(core_size=m, q=2, samples=samples, trials=3, seed=11)
+    assert_same_draws(spec)
+    assert_same_report(spec)
+
+
+def test_explicit_draws_match_reference():
     spec = ReservoirSpec(core_size=3, q=2, samples=500, trials=3, seed=12,
                          distribution=((0b011, 0.5), (0b110, 0.0), (0b101, 0.25), (0b111, 0.25)))
-    for trial in range(spec.trials):
-        table = sample_reservoir(spec, trial)
-        assert table == ref.sample_reservoir(spec, trial)
-        assert list(table.entries) == list(ref.sample_reservoir(spec, trial).entries)
+    assert_same_draws(spec)
     assert_same_report(spec, (0b011, 0b101))
 
 

@@ -3,12 +3,11 @@ import time
 
 import pytest
 
-import modcert.synth as synth_module
 from modcert.errors import InternalInvariantError
-from modcert.synth import path_pair_trace_problem, realize_problem, twin_pair_example
 from modcert.traces import tail_degrees
-from modcert.witness import is_q_modular, quotient_coords
-from modcert.gf2 import BitVector
+from modcert.witness import is_q_modular, quotient_matrix
+import synth as synth_module
+from synth import path_pair_trace_problem, realize_problem, twin_pair_example
 
 
 def assert_realizes(problem, m, q, masks, label):
@@ -16,8 +15,8 @@ def assert_realizes(problem, m, q, masks, label):
     assert len(problem.core) == m
     realized = set(problem.table.available_masks(q)) - {0}
     assert realized == set(masks)
-    want = quotient_coords(BitVector(m, label))
-    got = quotient_coords(BitVector(m, problem.label.mask()))
+    want = quotient_matrix((), range(m), label)[1]
+    got = quotient_matrix((), range(m), problem.label.mask())[1]
     assert want == got
     assert is_q_modular(problem.graph, problem.witness.members, q).modular
 

@@ -17,7 +17,7 @@ import _reference_traces as ref
 from modcert.graph import Graph, mask_of
 from modcert.traces import compute_traces
 
-from conftest import random_graph
+from conftest import edges_of, random_graph
 
 
 def assert_same_table(graph: Graph, core, tail) -> None:
@@ -45,7 +45,7 @@ def twin_blowup(base: Graph, copies: int) -> Graph:
     """Each base vertex b becomes independent twins b * copies + i."""
     edges = [
         (u * copies + i, v * copies + j)
-        for u, v in base.edges()
+        for u, v in edges_of(base)
         for i in range(copies)
         for j in range(copies)
     ]

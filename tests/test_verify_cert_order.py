@@ -24,7 +24,7 @@ import modcert.absorb as absorb
 import modcert.cli as cli
 import modcert.traces as traces
 from modcert.absorb import AbsorptionProblem, certificate_to_json, solve_core_correction
-from modcert.synth import path_pair_trace_problem, realize_problem
+from synth import path_pair_trace_problem, realize_problem
 
 from conftest import relabeled
 from test_cli import edge_list_text, run_cli

@@ -5,24 +5,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modcert.witness as witness_module
+from modcert.absorb import solve_defect, twin_tail_decompose
 from modcert.errors import InternalInvariantError
 from modcert.gf2 import BitVector
 from modcert.graph import induced_degrees
 from modcert.parity import two_modular_part
-from modcert.synth import realize_problem, twin_pair_example
+from modcert.reservoir import ReservoirSpec
+from modcert.traces import TraceTable
 from modcert.witness import (
     ModularWitness,
     Regular,
     TooLarge,
     affine_lift_check,
     is_q_modular,
-    quotient_coords,
     quotient_matrix,
     terminal_check,
     top_bit_label,
 )
+from synth import realize_problem, twin_pair_example
 
 from conftest import cycle, path, random_graph, star
+
+
+def coords(values) -> BitVector:
+    """Quotient coordinates of a vector of 0/1 entries over core positions."""
+    vector = BitVector.from_bits(values)
+    return quotient_matrix((), range(vector.length), vector.bits)[1]
 
 
 class TestIsQModular:
@@ -62,6 +70,18 @@ class TestModularWitness:
     def test_residue_is_canonical(self):
         w = ModularWitness.build(cycle(5), range(5), 8)
         assert w.residue == 2
+
+
+@pytest.mark.parametrize("q", [0, -2, 3, 6])
+@pytest.mark.parametrize("step", [
+    lambda q: ModularWitness.build(cycle(4), range(4), q),
+    lambda q: solve_defect(TraceTable(core=(0, 1), entries={}), q, 0),
+    lambda q: twin_tail_decompose(TraceTable(core=(0, 1), entries={}), q),
+    lambda q: ReservoirSpec(core_size=2, q=q, samples=4, trials=1, seed=0),
+], ids=["witness", "solve_defect", "twin_tail_decompose", "reservoir"])
+def test_every_dyadic_step_rejects_a_modulus_alike(step, q):
+    with pytest.raises(ValueError, match=f"^q must be a positive power of two, got {q}$"):
+        step(q)
 
 
 class TestTerminalCheck:
@@ -115,9 +135,7 @@ class TestTopBitLabel:
         canonical = [(degs[v] - d) // w.q % 2 for v in problem.core]
         shifted = [(degs[v] - d - w.q) // w.q % 2 for v in problem.core]
         assert all((a + b) % 2 == 1 for a, b in zip(canonical, shifted))
-        a = quotient_coords(BitVector.from_bits(canonical))
-        b = quotient_coords(BitVector.from_bits(shifted))
-        assert a == b
+        assert coords(canonical) == coords(shifted)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_labels_match_degrees_over_the_whole_witness(self, seed):
@@ -156,30 +174,26 @@ class TestTopBitLabel:
 
 class TestQuotientCoords:
     def test_constant_vector_maps_to_zero(self):
-        assert quotient_coords(BitVector.from_bits([1, 1, 1])).is_zero()
-        assert quotient_coords(BitVector.from_bits([0, 0, 0])).is_zero()
+        assert coords([1, 1, 1]).is_zero()
+        assert coords([0, 0, 0]).is_zero()
 
     def test_base_indicator_maps_to_all_ones(self):
-        coords = quotient_coords(BitVector.from_bits([1, 0, 0]))
-        assert coords == BitVector.from_bits([1, 1])
+        assert coords([1, 0, 0]) == BitVector.from_bits([1, 1])
 
     def test_zero_base_entry_copies_vector(self):
-        vec = BitVector.from_bits([0, 1, 0, 1, 0])
-        assert quotient_coords(vec) == BitVector.from_bits([1, 0, 1, 0])
+        assert coords([0, 1, 0, 1, 0]) == BitVector.from_bits([1, 0, 1, 0])
 
     def test_base_out_of_range(self):
         # A vector of length 0 has no entry 0 to be the base.
         with pytest.raises(ValueError):
-            quotient_coords(BitVector(0))
+            coords([])
 
     @settings(max_examples=80)
     @given(st.integers(1, 10), st.randoms(use_true_random=False))
     def test_equal_coords_iff_constant_shift(self, n, rnd):
-        x = BitVector(n, rnd.getrandbits(n))
-        y = BitVector(n, rnd.getrandbits(n))
-        same = quotient_coords(x) == quotient_coords(y)
-        diff = x.bits ^ y.bits
-        assert same == (diff in (0, (1 << n) - 1))
+        x, y = rnd.getrandbits(n), rnd.getrandbits(n)
+        same = quotient_matrix((), range(n), x)[1] == quotient_matrix((), range(n), y)[1]
+        assert same == (x ^ y in (0, (1 << n) - 1))
 
 
 class TestAffineLiftCheck:
