@@ -2,9 +2,9 @@
 
 Every CLI run is a fresh interpreter, so each module on the import path is
 paid for by every run.  ``dataclasses`` (with ``inspect``), ``traceback``
-and the oracle module stay off it.  The modules whose
-functions the benchmark tracer wraps must stay on it: the tracer wraps only
-modules already loaded by ``import modcert``.  ``-S`` keeps the host's
+and the oracle module stay off it.  The modules whose functions the
+benchmark tracer wraps must stay on it: the tracer wraps only modules
+already loaded by ``import modcert``.  ``-S`` keeps the host's
 ``site`` hooks out of the result.
 """
 
