@@ -12,24 +12,25 @@ Randomness is Mersenne Twister with per-trial streams derived from
 (seed, trial index), so serial and parallel execution agree and identical
 specs reproduce identical output byte for byte.  The stream contract: trial t
 seeds ``random.Random((seed << 32) + t)`` and, for the uniform distribution,
-its N samples are the values of N successive ``getrandbits(m)`` calls.  They
-are drawn in blocks of whole 32-bit words (one ``getrandbits(32 * w * k)`` per
-block of k samples, w = ceil(m / 32)), which consumes the same MT19937 words
-in the same order and leaves the generator in the same state.  The trial
-loop keeps that stream.  For uniform samples of at most 8 bits in one block it
-reseeds one generator per trial instead of building a new one, and a trial
-stops drawing once its verdict is known: it draws one MT19937 state's worth of
-samples (624 words) first, and the rest of its N only while some basis trace
-is still below q.
+its N samples are the values of N successive ``getrandbits(m)`` calls; a
+sample of an explicit distribution takes one ``random()`` call.  Uniform
+samples are drawn as whole 32-bit words (one ``getrandbits(32 * w * k)`` per
+k samples, w = ceil(m / 32)), which consumes the same MT19937 words in the
+same order and leaves the generator in the same state.  One trial loop serves
+every spec: it reseeds one generator per spec for each trial, and a trial
+stops drawing once its verdict is known.  It draws one MT19937 state's worth
+of samples (624) first, and the rest of its N, in bounded blocks, only while
+some basis trace is still below q.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
-from typing import Iterator, NamedTuple, Sequence, Union
+from itertools import accumulate
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .gf2 import rank
 from .witness import _check_modulus, quotient_matrix
@@ -72,9 +73,13 @@ class ReservoirSpec(_ReservoirSpecFields):
         if distribution != "uniform":
             total = 0.0
             full = (1 << core_size) - 1
+            seen = set()
             for mask, prob in distribution:
                 if not 0 <= mask <= full:
                     raise ValueError(f"trace mask {mask:#x} out of range")
+                if mask in seen:
+                    raise ValueError(f"trace mask {mask:#x} listed twice")
+                seen.add(mask)
                 if not (math.isfinite(prob) and prob >= 0):
                     raise ValueError(f"trace probabilities must be finite and nonnegative, got {prob!r}")
                 total += prob
@@ -103,67 +108,50 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random((seed << 32) + trial)
 
 
-# Samples per getrandbits call: the transient draw stays under 256 KiB per
-# 32-bit word of a sample, however many samples a trial takes.
+# Samples per draw after a trial's first: the transient draw stays under
+# 256 KiB per 32-bit word of a sample, however many samples a trial takes.
 _BLOCK = 1 << 16
-# _TOP_BITS[m] maps a byte to its top m bits, for m = 1..8.
-_TOP_BITS = [None] + [bytes(b >> (8 - m) for b in range(256)) for m in range(1, 9)]
 # 32-bit words in one MT19937 state; a seeded generator hands out this many
 # before its next twist.
 _STATE_WORDS = 624
+# _TOP_BITS[m] maps a byte to its top m bits, for m = 1..8.
+_TOP_BITS = [None] + [bytes(b >> (8 - m) for b in range(256)) for m in range(1, 9)]
 
 
-def _top_bytes(draw: int, k: int, table: bytes) -> bytes:
-    """The values of k successive ``getrandbits(m)`` calls, m <= 8, from one
-    draw of 32k bits, one byte each; ``table`` is ``_TOP_BITS[m]``."""
-    # Byte 3 of each little-endian word is its top byte.
-    return draw.to_bytes(4 * k, "little")[3::4].translate(table)
+def _drawer(spec: ReservoirSpec, rng: random.Random, k: int) -> Callable[[], Sequence[int]]:
+    """The function that draws the spec's next k samples from ``rng``: bytes
+    for uniform samples of at most 8 bits, else a list.
 
-
-def _uniform_draws(m: int, n: int, rng: random.Random) -> Iterator[Sequence[int]]:
-    """The values of n successive ``rng.getrandbits(m)`` calls, in blocks.
-
-    For k <= 32, CPython's getrandbits(k) takes one 32-bit MT19937 word and
-    keeps its top k bits; for larger k it takes ceil(k / 32) words, least
-    significant first, and keeps the top bits of the last one.  A draw of
-    32 * w * k bits is k * w whole words in the same order, so slicing it
-    gives the same values and leaves ``rng`` in the same state.
+    CPython's getrandbits(m) takes w = ceil(m / 32) 32-bit MT19937 words,
+    least significant first, and keeps the top bits of the last one, so
+    slicing one draw of 32 * w * k bits gives the values of k getrandbits(m)
+    calls and leaves ``rng`` in the same state.
     """
+    if spec.distribution != "uniform":
+        masks = [mask for mask, _ in spec.distribution]
+        cumulative = list(accumulate(prob for _, prob in spec.distribution))
+        last, uniform = len(masks) - 1, rng.random
+        # The first bound above u; u at or past the last bound (float
+        # rounding) takes the last mask.
+        return lambda: [masks[min(bisect_right(cumulative, uniform()), last)] for _ in range(k)]
+    getrandbits, m = rng.getrandbits, spec.core_size
     words = (m + 31) >> 5  # 32-bit words per sample
+    bits, size = 32 * words * k, 4 * words * k
+    if m <= 8:
+        top = _TOP_BITS[m]
+        # Byte 3 of each little-endian word is its top byte.
+        return lambda: getrandbits(bits).to_bytes(size, "little")[3::4].translate(top)
     span = 4 * words  # bytes per sample
     low_bits = 32 * (words - 1)  # taken whole from the lower words
     low = (1 << low_bits) - 1
-    drop = 32 * words - m  # low bits dropped from the top word
-    for start in range(0, n, _BLOCK):
-        k = min(_BLOCK, n - start)
-        draw = rng.getrandbits(8 * span * k)
-        if m <= 8:
-            yield _top_bytes(draw, k, _TOP_BITS[m])
-        else:
-            raw = draw.to_bytes(span * k, "little")
-            values = (int.from_bytes(raw[i:i + span], "little") for i in range(0, span * k, span))
-            yield [(v & low) | (v >> (low_bits + drop)) << low_bits for v in values]
+    shift = 32 * words - m + low_bits  # drops the low bits of the top word
 
+    def draw() -> list[int]:
+        raw = getrandbits(bits).to_bytes(size, "little")
+        values = (int.from_bytes(raw[i:i + span], "little") for i in range(0, size, span))
+        return [(v & low) | (v >> shift) << low_bits for v in values]
 
-def _draw_counts(spec: ReservoirSpec, rng: random.Random) -> Counter:
-    counts: Counter = Counter()
-    if spec.distribution == "uniform":
-        for block in _uniform_draws(spec.core_size, spec.samples, rng):
-            counts.update(block)
-        return counts
-    masks = [mask for mask, _ in spec.distribution]
-    cumulative = []
-    acc = 0.0
-    for _, prob in spec.distribution:
-        acc += prob
-        cumulative.append(acc)
-    last = len(masks) - 1
-    for _ in range(spec.samples):
-        # The first bound above u; u at or past the last bound (float
-        # rounding) takes the last mask.
-        index = min(bisect.bisect_right(cumulative, rng.random()), last)
-        counts[masks[index]] += 1
-    return counts
+    return draw
 
 
 def uniform_basis(core_size: int) -> tuple[tuple[int, ...], float]:
@@ -187,35 +175,37 @@ def _failed_trials(spec: ReservoirSpec, basis: tuple[int, ...]) -> Iterator[Coun
     """Per trial, in order: None if every basis mask reaches multiplicity q,
     else the counts of all N draws of the trial.
 
-    Byte draws (uniform, m <= 8, one block) reseed one generator to the state
-    of ``trial_rng`` and draw past the first MT19937 state only while some
-    basis mask is below q: counts only grow, so a trial that holds q copies of
-    every basis mask cannot fail.
+    One generator, reseeded to the state of ``trial_rng`` for each trial.
+    Counts only grow, so a trial draws min(N, 624) samples first and the rest,
+    in blocks of at most ``_BLOCK``, only while some basis mask is below q.
     """
-    q = spec.q
-    m, n = spec.core_size, spec.samples
-    if spec.distribution != "uniform" or m > 8 or n > _BLOCK:
-        for trial in range(spec.trials):
-            counts = _draw_counts(spec, trial_rng(spec.seed, trial))
-            yield counts if any(counts.get(mask, 0) < q for mask in basis) else None
-        return
-    table = _TOP_BITS[m]
+    q, n = spec.q, spec.samples
     first = min(n, _STATE_WORDS)
-    rest = n - first
-    first_bits, rest_bits = 32 * first, 32 * rest
     rng = random.Random()
-    reseed, getrandbits = rng.seed, rng.getrandbits
+    reseed, draw_first = rng.seed, _drawer(spec, rng, first)
+    draw_rest = [_drawer(spec, rng, min(_BLOCK, n - start)) for start in range(first, n, _BLOCK)]
     base = spec.seed << 32
     for trial in range(spec.trials):
         reseed(base + trial)
-        block = _top_bytes(getrandbits(first_bits), first, table)
+        block = draw_first()
         # A one-vertex core has an empty basis: its trials never fail.
         if min(map(block.count, basis), default=q) >= q:
             yield None
             continue
-        if rest:
-            block += _top_bytes(getrandbits(rest_bits), rest, table)
-        yield Counter(block) if min(map(block.count, basis)) < q else None
+        # Byte samples wait in ``block``, up to _BLOCK of them, because
+        # bytes.count tests the basis far faster than a Counter counts them.
+        counts = None
+        for draw in draw_rest:
+            block += draw()
+            if len(block) >= _BLOCK or not isinstance(block, bytes):
+                counts = counts or Counter()
+                counts.update(block)
+                block = block[:0]
+        if counts is None:
+            yield Counter(block) if min(map(block.count, basis)) < q else None
+            continue
+        counts.update(block)
+        yield counts if min(counts[mask] for mask in basis) < q else None
 
 
 class AvailabilityReport(NamedTuple):

@@ -3,7 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from modcert.graph import Graph, is_regular, mask_of
+import modcert.absorb as absorb
+import modcert.traces as traces
+from modcert.absorb import DeletionCertificate, verify_certificate
+from modcert.graph import Graph, bits_of, is_regular, mask_of
 from modcert.oracle import (
     brute_force_absorption,
     brute_force_alpha_omega,
@@ -179,3 +182,67 @@ def test_max_regular_on_mask_subsets_matches_definition():
             if len(degrees) == 1:
                 best = max(best, len(members))
         assert f == best
+
+
+def tail_groups(problem) -> dict[int, list[int]]:
+    """The tail vertices by their neighborhood in the core, read off the adjacency masks."""
+    core_mask = mask_of(problem.core)
+    groups: dict[int, list[int]] = {}
+    for v in sorted(problem.witness.members - set(problem.core)):
+        groups.setdefault(problem.graph.adj_masks[v] & core_mask, []).append(v)
+    return groups
+
+
+def recount(problem, chosen) -> int | None:
+    """Delete the cited q-tuples physically, as ``brute_force_absorption`` does:
+    the common core degree modulo 2q afterwards, or None when a deleted
+    vertex misses its declared trace or the core degrees disagree."""
+    graph = problem.graph
+    core_mask = mask_of(problem.core)
+    for trace, deleted in chosen:
+        if any(graph.adj_masks[v] & core_mask != mask_of(trace) for v in deleted):
+            return None
+    retained = mask_of(problem.witness.members.difference(v for _, deleted in chosen for v in deleted))
+    residues = {(graph.adj_masks[u] & retained).bit_count() % (2 * problem.q) for u in problem.core}
+    return residues.pop() if len(residues) == 1 else None
+
+
+def test_verify_certificate_agrees_with_a_physical_recount(monkeypatch):
+    # Deletion certificates from random subsets of the available traces and
+    # random q-tuples of their members; some declare another trace, and the
+    # residue claim is null, the recounted residue or a random one.
+    rng = random.Random(0xACE)
+    problems = accepted = rejected = 0
+    while problems < 40:
+        m = rng.choice([2, 3, 4, 5])
+        q = rng.choice([2, 4])
+        masks = rng.sample(range(1, 1 << m), k=rng.randrange(0, min(13, 1 << m)))
+        problem = realize_problem(m, q, masks, rng.getrandbits(m))
+        if problem is None:
+            continue
+        problems += 1
+        groups = tail_groups(problem)
+        available = [mask for mask, members in groups.items() if len(members) >= q]
+        assert len(available) <= 20
+        cases = []
+        for _ in range(25):
+            chosen = []
+            for mask in rng.sample(available, k=rng.randrange(len(available) + 1)):
+                declared = mask if rng.random() < 0.9 else rng.randrange(1 << m)
+                chosen.append((tuple(bits_of(declared)), tuple(sorted(rng.sample(groups[mask], q)))))
+            cases.append(chosen)
+        with monkeypatch.context() as patch:
+            # The recount is independent of the table and of the verifier.
+            for module, name in ((traces, "compute_traces"), (absorb, "compute_traces"),
+                                 (absorb, "_deletion_outcome"), (absorb, "_cut_failure")):
+                patch.setattr(module, name, None)
+            residues = [recount(problem, chosen) for chosen in cases]
+        for chosen, residue in zip(cases, residues):
+            claim = rng.choice([None, residue, rng.randrange(2 * q)])
+            cert = DeletionCertificate(q=q, lift=problem.lift, core=problem.core,
+                                       chosen=tuple(chosen), residue_achieved=claim)
+            valid = residue is not None and claim in (None, residue)
+            assert verify_certificate(problem, cert) == valid
+            accepted += valid
+            rejected += not valid
+    assert accepted > 100 and rejected > 100

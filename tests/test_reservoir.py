@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -7,17 +8,20 @@ import _reference_reservoir as ref
 from modcert.absorb import TraceSelection, rank_rich, solve_defect
 from modcert.reservoir import (
     ReservoirSpec,
-    _draw_counts,
-    _uniform_draws,
+    _drawer,
     estimate_availability,
-    trial_rng,
     uniform_basis,
     uniform_sample_size,
 )
 
 
+def stream(seed: int, trial: int) -> random.Random:
+    """The documented stream of one trial."""
+    return random.Random((seed << 32) + trial)
+
+
 def draw_counts(spec: ReservoirSpec, trial: int = 0) -> Counter:
-    return _draw_counts(spec, trial_rng(spec.seed, trial))
+    return Counter(_drawer(spec, stream(spec.seed, trial), spec.samples)())
 
 
 class TestSpec:
@@ -31,6 +35,13 @@ class TestSpec:
         with pytest.raises(ValueError):
             ReservoirSpec(core_size=2, q=2, samples=5, trials=1, seed=0,
                           distribution=((0b01, 0.6), (0b10, 0.6)))
+
+    def test_repeated_mask_rejected(self):
+        # estimate_availability reads the law as a dict, which would keep
+        # only the last probability listed for a mask.
+        with pytest.raises(ValueError, match="listed twice"):
+            ReservoirSpec(core_size=2, q=2, samples=5, trials=1, seed=0,
+                          distribution=((0b01, 0.25), (0b10, 0.5), (0b01, 0.25)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_probability_rejected(self, bad):
@@ -72,10 +83,14 @@ class TestDrawCounts:
         assert draw_counts(spec) != draw_counts(spec, trial=1)
 
     def test_trial_streams_do_not_depend_on_order(self):
-        draws_a = trial_rng(5, 7).getrandbits(64)
-        trial_rng(5, 8).getrandbits(64)
-        draws_b = trial_rng(5, 7).getrandbits(64)
-        assert draws_a == draws_b
+        # The trial loop reseeds one generator: a reseeded one must draw as a fresh one.
+        spec = ReservoirSpec(core_size=4, q=2, samples=100, trials=1, seed=5)
+        rng = random.Random()
+        draw = _drawer(spec, rng, 100)
+        rng.seed((5 << 32) + 8)
+        draw()
+        rng.seed((5 << 32) + 7)
+        assert draw() == _drawer(spec, stream(5, 7), 100)()
 
 
 class TestEstimateAvailability:
@@ -162,9 +177,11 @@ class TestStreamPin:
         assert estimate_availability(spec).rank_rich_fraction == 0.725
 
     def test_wide_samples_pinned(self):
-        assert list(_uniform_draws(12, 4, trial_rng(7, 2))) == [[187, 2357, 3072, 1349]]
-        assert list(_uniform_draws(40, 4, trial_rng(7, 2))) == [
-            [631556436403, 363999344202, 1068151292457, 613676423427]]
+        def draws(m):
+            return _drawer(ReservoirSpec(core_size=m, q=2, samples=4, trials=1, seed=7), stream(7, 2), 4)()
+
+        assert draws(12) == [187, 2357, 3072, 1349]
+        assert draws(40) == [631556436403, 363999344202, 1068151292457, 613676423427]
 
 
 class TestUniformSampleSize:

@@ -1,17 +1,19 @@
 """Differential tests: the block-drawn reservoir samples and the trial loop against the frozen reference.
 
 ``_reference_reservoir`` keeps the per-sample ``getrandbits(m)`` loop, the
-linear scan of the cumulative bounds, and the trial loop that counts every
-draw and runs the span check in every trial.  Results must be equal, not
-merely alike in distribution: the same values in the same order, the same
-generator state afterwards, and the same reports and draw counts.  The
-report cases include failing trials, where the span check decides, and
-trials whose available traces do not span.  The early-verdict cases sit
-around one MT19937 state (624 samples), where a byte-drawn trial decides
-whether it needs the rest of its draws.
+linear scan of the cumulative bounds, and the trial loop that builds a
+generator per trial, counts every draw and runs the span check in every
+trial.  Results must be equal, not merely alike in distribution: the same
+values in the same order, the same generator state afterwards, and the same
+reports and draw counts.  The report cases include failing trials, where the
+span check decides, and trials whose available traces do not span.  The
+early-verdict cases sit around one MT19937 state (624 samples), where a
+trial decides whether it needs the rest of its draws: byte-drawn, wider
+and explicit samples, and trials drawn in several blocks.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,25 +21,33 @@ from hypothesis import strategies as st
 
 import _reference_reservoir as ref
 import modcert.reservoir as reservoir
-from modcert.reservoir import ReservoirSpec, estimate_availability, trial_rng
+from modcert.reservoir import ReservoirSpec, estimate_availability
 
 WIDTHS = list(range(1, 71)) + [96, 97, 128]
 
 # (m, q, samples, trials) of the reservoir-sweep benchmark.
 BENCH_CONFIGS = ((3, 2, 192, 4000), (4, 2, 436, 3000), (4, 4, 436, 3000), (6, 2, 2003, 1500))
+# One MT19937 state: a trial decides from this many samples first.
+STATE = 624
 
 
-def drawn(m: int, n: int, rng: random.Random) -> list[int]:
-    return [v for block in reservoir._uniform_draws(m, n, rng) for v in block]
+def stream(spec: ReservoirSpec, trial: int) -> random.Random:
+    """The documented stream of one trial."""
+    return random.Random((spec.seed << 32) + trial)
+
+
+def drawn(m: int, n: int, rng: random.Random, step: int) -> list[int]:
+    """n uniform m-bit samples, drawn from ``rng`` step samples at a time."""
+    spec = ReservoirSpec(core_size=m, q=2, samples=n, trials=1, seed=0)
+    return [v for start in range(0, n, step) for v in reservoir._drawer(spec, rng, min(step, n - start))()]
 
 
 @pytest.mark.parametrize("m", WIDTHS)
-def test_draws_match_getrandbits_across_blocks(monkeypatch, m):
-    monkeypatch.setattr(reservoir, "_BLOCK", 4)
+def test_draws_match_getrandbits_across_blocks(m):
     for n in range(1, 12):
         seed = m * 1000 + n
         rng, expected_rng = random.Random(seed), random.Random(seed)
-        assert drawn(m, n, rng) == [expected_rng.getrandbits(m) for _ in range(n)]
+        assert drawn(m, n, rng, 4) == [expected_rng.getrandbits(m) for _ in range(n)]
         assert rng.getstate() == expected_rng.getstate()
 
 
@@ -45,20 +55,48 @@ def test_draws_match_getrandbits_across_blocks(monkeypatch, m):
 def test_draws_match_getrandbits_at_full_block(m):
     for n in (2003, reservoir._BLOCK + 3):
         rng, expected_rng = random.Random(m), random.Random(m)
-        assert drawn(m, n, rng) == [expected_rng.getrandbits(m) for _ in range(n)]
+        assert drawn(m, n, rng, reservoir._BLOCK) == [expected_rng.getrandbits(m) for _ in range(n)]
         assert rng.getstate() == expected_rng.getstate()
 
 
 def test_blocks_are_bounded(monkeypatch):
+    # An undecided trial draws its first state, then the rest in blocks of _BLOCK.
     monkeypatch.setattr(reservoir, "_BLOCK", 5)
-    sizes = [len(block) for block in reservoir._uniform_draws(3, 12, random.Random(0))]
-    assert sizes == [5, 5, 2]
+    spec = ReservoirSpec(core_size=3, q=128, samples=STATE + 12, trials=1, seed=0)
+    calls = spied_calls(monkeypatch, spec)
+    assert calls == [(None, [], 0), (0, [32 * STATE, 32 * 5, 32 * 5, 32 * 2], 0)]
 
 
 def assert_same_report(spec, basis=None):
     got = estimate_availability(spec, basis)
     assert got.to_json_dict() == ref.estimate_availability(spec, basis).to_json_dict()
     return got
+
+
+def spied_calls(monkeypatch, spec, basis=None):
+    """Per ``seed()`` call of the report's generators: its argument, the widths
+    drawn by ``getrandbits`` after it and the number of ``random()`` calls.
+    The report must equal the reference's."""
+    calls = []
+
+    class SpyRandom(random.Random):
+        def seed(self, a=None, version=2):
+            calls.append((a, [], []))
+            super().seed(a, version)
+
+        def getrandbits(self, k):
+            calls[-1][1].append(k)
+            return super().getrandbits(k)
+
+        def random(self):
+            calls[-1][2].append(None)
+            return super().random()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(random, "Random", SpyRandom)
+        report = estimate_availability(spec, basis)
+    assert report.to_json_dict() == ref.estimate_availability(spec, basis).to_json_dict()
+    return [(a, widths, len(randoms)) for a, widths, randoms in calls]
 
 
 @pytest.mark.parametrize("seed", [1, 123456789, 2 ** 31 - 1])
@@ -89,9 +127,9 @@ def test_failing_trials_match_reference():
 
 @pytest.mark.parametrize("m", [1, 3, 8, 9])
 def test_multi_block_trials_match_reference(monkeypatch, m):
-    # Tails over several blocks take the counted path even for m <= 8.
+    # Tails past one MT19937 state draw the rest in several blocks.
     monkeypatch.setattr(reservoir, "_BLOCK", 16)
-    for samples in (15, 16, 17, 50):
+    for samples in (15, 16, 17, 50, STATE + 15, STATE + 16, STATE + 17, STATE + 50):
         assert_same_report(ReservoirSpec(core_size=m, q=2, samples=samples, trials=30, seed=m))
 
 
@@ -120,16 +158,13 @@ def test_user_basis_of_wrong_length_or_outside_the_core_rejected(m, basis, messa
         estimate_availability(ReservoirSpec(core_size=m, q=2, samples=8, trials=2, seed=0), basis)
 
 
-# One MT19937 state: a byte-drawn trial decides from this many samples first.
-STATE = 624
-
-
-def first_state_decides(spec: ReservoirSpec, trial: int) -> bool:
+def first_state_decides(spec: ReservoirSpec, trial: int, basis=None) -> bool:
     """Whether every basis mask reaches q among the trial's first STATE samples,
-    recounted from the documented stream without modcert."""
-    rng = random.Random((spec.seed << 32) + trial)
-    first = [rng.getrandbits(spec.core_size) for _ in range(min(spec.samples, STATE))]
-    return all(first.count(1 << i) >= spec.q for i in range(1, spec.core_size))
+    recounted from the documented stream by the reference."""
+    if basis is None:
+        basis = [1 << i for i in range(1, spec.core_size)]
+    first = ref._draw_counts(spec._replace(samples=min(spec.samples, STATE)), stream(spec, trial))
+    return all(first[mask] >= spec.q for mask in basis)
 
 
 @pytest.mark.parametrize("samples", [1, STATE - 1, STATE, STATE + 1, 2003])
@@ -155,37 +190,53 @@ def test_large_q_where_most_trials_fail_matches_reference(m, q, samples):
     assert report.failures > spec.trials // 2
 
 
+def assert_draws_the_rest_only_when_undecided(monkeypatch, spec, basis=None):
+    """Each trial reseeds once, draws min(N, STATE) samples, and draws the
+    rest, in blocks of at most ``_BLOCK``, only when the first samples leave
+    some basis mask below q; the report equals the reference's."""
+    calls = spied_calls(monkeypatch, spec, basis)
+    # One generator for the spec, built unseeded and then reseeded per trial.
+    assert calls[0] == (None, [], 0)
+    n = spec.samples
+    first = min(n, STATE)
+    words = 0 if spec.distribution != "uniform" else (spec.core_size + 31) >> 5
+    undecided = [not first_state_decides(spec, trial, basis) for trial in range(spec.trials)]
+    expected = []
+    for trial, more in enumerate(undecided):
+        sizes = [first]
+        if more:
+            sizes += [min(reservoir._BLOCK, n - start) for start in range(first, n, reservoir._BLOCK)]
+        widths = [32 * words * k for k in sizes] if words else []
+        expected.append(((spec.seed << 32) + trial, widths, 0 if words else sum(sizes)))
+    assert calls[1:] == expected
+    if n > STATE:
+        # Trials of both kinds occur.
+        assert 0 < sum(undecided) < spec.trials
+
+
 @pytest.mark.parametrize("samples", [STATE - 1, STATE, STATE + 1, 2003])
 def test_byte_trials_draw_the_rest_only_when_undecided(monkeypatch, samples):
-    calls = []  # per seed() call: its argument and the widths drawn after it
-
-    class SpyRandom(random.Random):
-        def seed(self, a=None, version=2):
-            calls.append((a, []))
-            super().seed(a, version)
-
-        def getrandbits(self, k):
-            calls[-1][1].append(k)
-            return super().getrandbits(k)
-
     spec = ReservoirSpec(core_size=6, q=4, samples=samples, trials=120, seed=9)
-    monkeypatch.setattr(random, "Random", SpyRandom)
-    report = estimate_availability(spec)
-    monkeypatch.undo()
-    assert report.to_json_dict() == ref.estimate_availability(spec).to_json_dict()
-    # One generator for the spec, built unseeded and then reseeded per trial.
-    assert calls[0] == (None, [])
-    first = min(samples, STATE)
-    expected = []
-    for trial in range(spec.trials):
-        widths = [32 * first]
-        if samples > first and not first_state_decides(spec, trial):
-            widths.append(32 * (samples - first))
-        expected.append(((spec.seed << 32) + trial, widths))
-    assert calls[1:] == expected
-    if samples > STATE:
-        # Trials of both kinds occur.
-        assert 0 < sum(len(widths) == 2 for _, widths in expected) < spec.trials
+    assert_draws_the_rest_only_when_undecided(monkeypatch, spec)
+
+
+@pytest.mark.parametrize("samples", [STATE - 1, 2003])
+def test_wide_trials_draw_the_rest_only_when_undecided(monkeypatch, samples):
+    spec = ReservoirSpec(core_size=9, q=1, samples=samples, trials=120, seed=3)
+    assert_draws_the_rest_only_when_undecided(monkeypatch, spec)
+
+
+def test_trials_past_one_block_draw_the_rest_only_when_undecided(monkeypatch):
+    monkeypatch.setattr(reservoir, "_BLOCK", 500)
+    spec = ReservoirSpec(core_size=6, q=4, samples=2003, trials=120, seed=9)
+    assert_draws_the_rest_only_when_undecided(monkeypatch, spec)
+
+
+@pytest.mark.parametrize("samples", [STATE - 1, 2003])
+def test_explicit_trials_draw_the_rest_only_when_undecided(monkeypatch, samples):
+    spec = ReservoirSpec(core_size=3, q=2, samples=samples, trials=120, seed=4,
+                         distribution=((0b011, 0.004), (0b101, 0.004), (0b110, 0.5), (0b111, 0.492)))
+    assert_draws_the_rest_only_when_undecided(monkeypatch, spec, (0b011, 0b101))
 
 
 @settings(max_examples=150, deadline=None)
@@ -195,15 +246,18 @@ def test_random_reports_match_reference(m, q, samples, trials, seed):
     assert_same_report(ReservoirSpec(core_size=m, q=q, samples=samples, trials=trials, seed=seed))
 
 
+def counted(spec, rng) -> Counter:
+    return Counter(reservoir._drawer(spec, rng, spec.samples)())
+
+
 def assert_same_draws(spec):
     """Every trial counts the same masks as the reference, in order of first draw."""
     for trial in range(spec.trials):
-        got = reservoir._draw_counts(spec, trial_rng(spec.seed, trial))
-        assert list(got.items()) == list(ref._draw_counts(spec, trial_rng(spec.seed, trial)).items())
+        got = counted(spec, stream(spec, trial))
+        assert list(got.items()) == list(ref._draw_counts(spec, stream(spec, trial)).items())
 
 
-# Samples wider than a byte, and tails of more than one block, reach
-# ``_uniform_draws`` through ``_draw_counts``.
+# Samples wider than a byte, and tails of more than one block.
 @pytest.mark.parametrize("m,samples", [(1, 300), (2, 300), (5, 300), (8, 300), (9, 300), (31, 300),
                                        (33, 300), (70, 300), (3, reservoir._BLOCK + 3),
                                        (9, reservoir._BLOCK + 3)])
@@ -267,7 +321,7 @@ def test_bisect_matches_linear_scan(case):
     distribution, us = case
     spec = ReservoirSpec(core_size=4, q=2, samples=len(us), trials=1, seed=0,
                          distribution=distribution)
-    got = reservoir._draw_counts(spec, ScriptedRng(us))
+    got = counted(spec, ScriptedRng(us))
     expected = ref._draw_counts(spec, ScriptedRng(us))
     assert list(got.items()) == list(expected.items())
 
@@ -283,5 +337,5 @@ def test_bisect_on_and_past_the_bounds():
     cases = [(spec, 0.0, 1), (spec, 0.25, 4), (spec, 0.75, 8), (spec, 0.875, 0), (spec, 0.999, 0),
              (short, 1.0 - 1e-13, 8), (short, 0.9999999999999, 8)]
     for case, u, mask in cases:
-        got = reservoir._draw_counts(case, ScriptedRng([u]))
+        got = counted(case, ScriptedRng([u]))
         assert got == ref._draw_counts(case, ScriptedRng([u])) == {mask: 1}
