@@ -109,8 +109,6 @@ def solve_defect(table: TraceTable, q: int, label_mask: int) -> Union[TraceSelec
     lowest realizers per chosen trace.  A cut is checked before it is
     returned.
     """
-    if table.size < 1:
-        raise ValueError("core must be nonempty")
     _check_modulus(q)
     masks, matrix = trace_class_matrix(table, q)
     _, target = quotient_matrix((), table.core, label_mask)
@@ -308,8 +306,6 @@ def rank_rich(table: TraceTable, q: int) -> tuple[bool, tuple[int, ...]]:
     When they do, the pivot columns give a spanning subfamily of at most
     |core|-1 traces, so every defect is absorbable by that many q-tuples.
     """
-    if table.size < 1:
-        raise ValueError("core must be nonempty")
     masks, matrix = trace_class_matrix(table, q)
     pivots = pivot_columns(matrix)
     if len(pivots) != table.size - 1:

@@ -26,7 +26,7 @@ from .absorb import (
     solve_core_correction,
     verify_certificate,
 )
-from .errors import InternalInvariantError, ParseError
+from .errors import InternalInvariantError
 from .graph import Graph, load_graph
 from .parity import parity_partition, verify_even_partition
 from .reservoir import RNG_ALGORITHM, ReservoirSpec, estimate_availability
@@ -385,10 +385,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

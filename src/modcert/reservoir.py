@@ -14,13 +14,14 @@ specs reproduce identical output byte for byte.  The stream contract: trial t
 seeds ``random.Random((seed << 32) + t)`` and, for the uniform distribution,
 its N samples are the values of N successive ``getrandbits(m)`` calls; a
 sample of an explicit distribution takes one ``random()`` call.  Uniform
-samples are drawn as whole 32-bit words (one ``getrandbits(32 * w * k)`` per
-k samples, w = ceil(m / 32)), which consumes the same MT19937 words in the
-same order and leaves the generator in the same state.  One trial loop serves
-every spec: it reseeds one generator per spec for each trial, and a trial
-stops drawing once its verdict is known.  It draws one MT19937 state's worth
-of samples (624) first, and the rest of its N, in bounded blocks, only while
-some basis trace is still below q.
+samples of more than 8 bits are drawn by exactly those calls.  Samples of at
+most 8 bits are drawn as whole 32-bit words, one ``getrandbits(32 * k)`` per
+k samples, which consumes the same MT19937 words in the same order and
+leaves the generator in the same state.  One trial loop serves every spec:
+it reseeds one generator per spec for each trial, and a trial stops drawing
+once its verdict is known.  It draws one MT19937 state's worth of samples
+(624) first, and the rest of its N, in bounded blocks, only while some basis
+trace is still below q.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .gf2 import rank
@@ -103,13 +104,8 @@ class ReservoirSpec(_ReservoirSpecFields):
         }
 
 
-def trial_rng(seed: int, trial: int) -> random.Random:
-    """Independent stream per (seed, trial); stable across run orders."""
-    return random.Random((seed << 32) + trial)
-
-
-# Samples per draw after a trial's first: the transient draw stays under
-# 256 KiB per 32-bit word of a sample, however many samples a trial takes.
+# Samples per draw after a trial's first: a draw of byte samples, one 32-bit
+# word each, stays within 256 KiB however many samples a trial takes.
 _BLOCK = 1 << 16
 # 32-bit words in one MT19937 state; a seeded generator hands out this many
 # before its next twist.
@@ -122,10 +118,9 @@ def _drawer(spec: ReservoirSpec, rng: random.Random, k: int) -> Callable[[], Seq
     """The function that draws the spec's next k samples from ``rng``: bytes
     for uniform samples of at most 8 bits, else a list.
 
-    CPython's getrandbits(m) takes w = ceil(m / 32) 32-bit MT19937 words,
-    least significant first, and keeps the top bits of the last one, so
-    slicing one draw of 32 * w * k bits gives the values of k getrandbits(m)
-    calls and leaves ``rng`` in the same state.
+    CPython's getrandbits(m) for m <= 8 takes one 32-bit MT19937 word and
+    keeps its top m bits, so the top bytes of one draw of 32 * k bits give the
+    values of k getrandbits(m) calls and leave ``rng`` in the same state.
     """
     if spec.distribution != "uniform":
         masks = [mask for mask, _ in spec.distribution]
@@ -135,23 +130,11 @@ def _drawer(spec: ReservoirSpec, rng: random.Random, k: int) -> Callable[[], Seq
         # rounding) takes the last mask.
         return lambda: [masks[min(bisect_right(cumulative, uniform()), last)] for _ in range(k)]
     getrandbits, m = rng.getrandbits, spec.core_size
-    words = (m + 31) >> 5  # 32-bit words per sample
-    bits, size = 32 * words * k, 4 * words * k
-    if m <= 8:
-        top = _TOP_BITS[m]
-        # Byte 3 of each little-endian word is its top byte.
-        return lambda: getrandbits(bits).to_bytes(size, "little")[3::4].translate(top)
-    span = 4 * words  # bytes per sample
-    low_bits = 32 * (words - 1)  # taken whole from the lower words
-    low = (1 << low_bits) - 1
-    shift = 32 * words - m + low_bits  # drops the low bits of the top word
-
-    def draw() -> list[int]:
-        raw = getrandbits(bits).to_bytes(size, "little")
-        values = (int.from_bytes(raw[i:i + span], "little") for i in range(0, size, span))
-        return [(v & low) | (v >> shift) << low_bits for v in values]
-
-    return draw
+    if m > 8:
+        return lambda: list(map(getrandbits, repeat(m, k)))
+    top, bits, size = _TOP_BITS[m], 32 * k, 4 * k
+    # Byte 3 of each little-endian word is its top byte.
+    return lambda: getrandbits(bits).to_bytes(size, "little")[3::4].translate(top)
 
 
 def uniform_basis(core_size: int) -> tuple[tuple[int, ...], float]:
@@ -175,7 +158,7 @@ def _failed_trials(spec: ReservoirSpec, basis: tuple[int, ...]) -> Iterator[Coun
     """Per trial, in order: None if every basis mask reaches multiplicity q,
     else the counts of all N draws of the trial.
 
-    One generator, reseeded to the state of ``trial_rng`` for each trial.
+    One generator, reseeded to the trial's stream for each trial.
     Counts only grow, so a trial draws min(N, 624) samples first and the rest,
     in blocks of at most ``_BLOCK``, only while some basis mask is below q.
     """
@@ -246,21 +229,18 @@ def estimate_availability(
     a trial that keeps its verified basis spans without an elimination.
     """
     m = spec.core_size
-    if basis is None:
-        if spec.distribution == "uniform":
-            basis_masks, p = uniform_basis(m)
-        else:
-            raise ValueError("an explicit distribution needs an explicit basis")
+    if spec.distribution == "uniform":
+        default, p = uniform_basis(m)
+        basis_masks = default if basis is None else tuple(basis)
+    elif basis is None:
+        raise ValueError("an explicit distribution needs an explicit basis")
     else:
         basis_masks = tuple(basis)
-        if spec.distribution == "uniform":
-            p = 2.0 ** -m
-        else:
-            probs = dict(spec.distribution)
-            missing = [mask for mask in basis_masks if probs.get(mask, 0.0) <= 0.0]
-            if missing:
-                raise ValueError(f"basis traces with zero probability: {missing}")
-            p = min(probs[mask] for mask in basis_masks)
+        probs = dict(spec.distribution)
+        missing = [mask for mask in basis_masks if probs.get(mask, 0.0) <= 0.0]
+        if missing:
+            raise ValueError(f"basis traces with zero probability: {missing}")
+        p = min(probs[mask] for mask in basis_masks)
     _verify_basis(m, basis_masks)
     failures = 0
     spanning = 0
@@ -291,11 +271,13 @@ def estimate_availability(
 
 def uniform_sample_size(core_size: int, q: int, delta: float) -> int:
     """Smallest N meeting the uniform-reservoir guarantee at confidence 1 - delta."""
+    if core_size < 1:
+        raise ValueError(f"core size must be >= 1, got {core_size}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     m = core_size
-    lower = max(
-        2 ** (m + 1) * q,
-        8.0 * 2 ** m * math.log((m - 1) / delta),
-    )
+    lower = 2 ** (m + 1) * q
+    # A one-vertex core has no basis traces, so its failure bound is 0.
+    if m > 1:
+        lower = max(lower, 8.0 * 2 ** m * math.log((m - 1) / delta))
     return math.ceil(lower)

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 from .errors import InternalInvariantError
 from .gf2 import BitVector
 from .graph import Graph, bits_of, check_subset, mask_of
-from .witness import quotient_matrix
+from .witness import _check_modulus, quotient_matrix
 
 
 class TraceTable(NamedTuple):
@@ -198,8 +198,7 @@ def pair_trace_graph(table: TraceTable, q: int) -> PairTraceView:
     """Edges are core pairs realized by at least q tail vertices."""
     if table.size < 2:
         raise ValueError("pair-trace graph needs a core of size >= 2")
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+    _check_modulus(q)
     available = table.available_masks(q)
     pairs = []
     adj = dict.fromkeys(table.core, 0)

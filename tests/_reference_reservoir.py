@@ -18,9 +18,13 @@ from collections import Counter
 from typing import Sequence
 
 from modcert.gf2 import rank
-from modcert.reservoir import AvailabilityReport, ReservoirSpec, trial_rng, uniform_basis
+from modcert.reservoir import AvailabilityReport, ReservoirSpec, uniform_basis
 from modcert.traces import TraceTable
 from modcert.witness import quotient_matrix
+
+
+def trial_rng(seed: int, trial: int) -> random.Random:
+    return random.Random((seed << 32) + trial)
 
 
 def _draw_counts(spec: ReservoirSpec, rng: random.Random) -> Counter:

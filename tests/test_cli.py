@@ -129,6 +129,8 @@ class TestAbsorb:
             run_cli(capsys, ["reservoir", "--m", "3", "--q", "6", "--samples", "8", "--seed", "1"]),
         ]
         assert runs == [(2, "", "error: q must be a positive power of two, got 6\n")] * 2
+        pair_trace = run_cli(capsys, ["pair-trace", target, "--core", "0,1", "--witness", "0,1,2,3", "--q", "3"])
+        assert pair_trace == (2, "", "error: q must be a positive power of two, got 3\n")
 
 
 def _absorb_args(target, problem) -> list[str]:

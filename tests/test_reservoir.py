@@ -193,3 +193,16 @@ class TestUniformSampleSize:
     def test_delta_range(self):
         with pytest.raises(ValueError):
             uniform_sample_size(4, 2, 0.0)
+
+    @pytest.mark.parametrize("q", [1, 2, 8])
+    def test_one_vertex_core_needs_only_the_multiplicity_term(self, q):
+        # No basis traces, so the failure bound is 0 at every N.
+        n = uniform_sample_size(1, q, 0.1)
+        assert n == 4 * q
+        spec = ReservoirSpec(core_size=1, q=q, samples=n, trials=1, seed=0)
+        assert not estimate_availability(spec).advisory_small_sample
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_core_size_range(self, m):
+        with pytest.raises(ValueError, match=f"^core size must be >= 1, got {m}$"):
+            uniform_sample_size(m, 2, 0.1)

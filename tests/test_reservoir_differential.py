@@ -199,15 +199,22 @@ def assert_draws_the_rest_only_when_undecided(monkeypatch, spec, basis=None):
     assert calls[0] == (None, [], 0)
     n = spec.samples
     first = min(n, STATE)
-    words = 0 if spec.distribution != "uniform" else (spec.core_size + 31) >> 5
+    m = spec.core_size if spec.distribution == "uniform" else 0
     undecided = [not first_state_decides(spec, trial, basis) for trial in range(spec.trials)]
     expected = []
     for trial, more in enumerate(undecided):
         sizes = [first]
         if more:
             sizes += [min(reservoir._BLOCK, n - start) for start in range(first, n, reservoir._BLOCK)]
-        widths = [32 * words * k for k in sizes] if words else []
-        expected.append(((spec.seed << 32) + trial, widths, 0 if words else sum(sizes)))
+        if not m:
+            widths = []
+        elif m <= 8:
+            # One whole 32-bit word per byte sample, drawn once per block.
+            widths = [32 * k for k in sizes]
+        else:
+            # A block of k wider samples is k getrandbits(m) calls, as the contract says.
+            widths = [m] * sum(sizes)
+        expected.append(((spec.seed << 32) + trial, widths, 0 if m else sum(sizes)))
     assert calls[1:] == expected
     if n > STATE:
         # Trials of both kinds occur.

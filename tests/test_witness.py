@@ -11,7 +11,7 @@ from modcert.gf2 import BitVector
 from modcert.graph import induced_degrees
 from modcert.parity import two_modular_part
 from modcert.reservoir import ReservoirSpec
-from modcert.traces import TraceTable
+from modcert.traces import TraceTable, pair_trace_graph
 from modcert.witness import (
     ModularWitness,
     Regular,
@@ -78,7 +78,8 @@ class TestModularWitness:
     lambda q: solve_defect(TraceTable(core=(0, 1), entries={}), q, 0),
     lambda q: twin_tail_decompose(TraceTable(core=(0, 1), entries={}), q),
     lambda q: ReservoirSpec(core_size=2, q=q, samples=4, trials=1, seed=0),
-], ids=["witness", "solve_defect", "twin_tail_decompose", "reservoir"])
+    lambda q: pair_trace_graph(TraceTable(core=(0, 1), entries={}), q),
+], ids=["witness", "solve_defect", "twin_tail_decompose", "reservoir", "pair_trace_graph"])
 def test_every_dyadic_step_rejects_a_modulus_alike(step, q):
     with pytest.raises(ValueError, match=f"^q must be a positive power of two, got {q}$"):
         step(q)
