@@ -14,11 +14,12 @@ before it is returned.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from typing import NamedTuple, Union
 
 from .errors import InternalInvariantError
-from .gf2 import BitMatrix, Dual, Solution, pivot_columns, solve_or_dual
+from .gf2 import BitMatrix, Solution, pivot_columns, solve_or_dual
 from .graph import bits_of, check_subset, mask_of
 from .traces import PairTraceView, TraceTable, compute_traces, split_witness
 from .witness import ModularWitness, TopBitLabel, _check_modulus, is_q_modular, quotient_matrix, top_bit_label
@@ -35,8 +36,8 @@ class _ProblemFields(NamedTuple):
 class AbsorptionProblem(_ProblemFields):
     """A witness, a retained core, the top-bit label, and the tail's traces.
 
-    The trace table is built on first use: checking a deletion certificate
-    reads none of it, so verifying one never groups the tail.
+    The trace table is built on first use: checking a certificate of either
+    kind reads none of it, so verifying one never groups the tail.
     """
 
     # No ``__slots__``: the instance ``__dict__`` holds the cached table.
@@ -106,8 +107,8 @@ def solve_defect(table: TraceTable, q: int, label_mask: int) -> Union[TraceSelec
     vertex-id mask.  Works on trace data alone (no graph needed), so it also
     serves sampled reservoirs.  Deterministic: columns in mask order,
     elimination pivots on the lowest available row, free variables zero, q
-    lowest realizers per chosen trace.  A cut is checked before it is
-    returned.
+    lowest realizers per chosen trace.  The cut is returned unchecked:
+    ``solve_core_correction`` checks it from the graph.
     """
     _check_modulus(q)
     masks, matrix = trace_class_matrix(table, q)
@@ -117,53 +118,49 @@ def solve_defect(table: TraceTable, q: int, label_mask: int) -> Union[TraceSelec
         chosen = [masks[j] for j in range(len(masks)) if outcome.x.bits >> j & 1]
         deletions = tuple(table.entries[mask][:q] for mask in chosen)
         return TraceSelection(masks=tuple(chosen), deletions=deletions)
-    return _cut_from_dual(table, outcome, label_mask, q)
-
-
-def _cut_from_dual(table: TraceTable, dual: Dual, label_mask: int, q: int) -> int:
     # Row i of the system is core vertex core[i + 1]; core[0] is the base.
-    cut_mask = mask_of(table.core[i + 1] for i in bits_of(dual.y.bits))
-    if cut_mask.bit_count() % 2:
-        cut_mask |= 1 << table.core[0]
-    reason = _cut_failure(table, q, label_mask, cut_mask)
-    if reason is not None:
-        raise InternalInvariantError(reason)
-    return cut_mask
+    cut_mask = mask_of(table.core[i + 1] for i in bits_of(outcome.y.bits))
+    return cut_mask | 1 << table.core[0] if cut_mask.bit_count() % 2 else cut_mask
 
 
-def _cut_failure(table: TraceTable, q: int, label_mask: int, cut_mask: int) -> str | None:
-    """Why a set of core vertices (a mask) is not a parity cut, or None if it is."""
+def _cut_failure(problem: AbsorptionProblem, cut_mask: int) -> str | None:
+    """Why a set of core vertices (a mask) is not a parity cut, or None if it is.
+
+    Read from the graph alone.  Every realizer of a trace meets the cut
+    alike, so "every available trace meets the cut evenly" means that no
+    trace has q tail vertices meeting the cut oddly.
+    """
     size = cut_mask.bit_count()
     if size == 0 or size % 2:
         return "parity cut must be nonempty and even"
-    if (label_mask & cut_mask).bit_count() % 2 == 0:
+    if (problem.label.mask() & cut_mask).bit_count() % 2 == 0:
         return "parity cut fails to detect the defect"
-    for mask in table.available_masks(q):
-        if (mask & cut_mask).bit_count() % 2:
-            return "parity cut meets an available trace oddly"
+    adj, core_mask = problem.graph.adj_masks, mask_of(problem.core)
+    odd = Counter(adj[v] & core_mask for v in problem.witness.members.difference(problem.core)
+                  if (adj[v] & cut_mask).bit_count() % 2)
+    if any(count >= problem.q for count in odd.values()):
+        return "parity cut meets an available trace oddly"
     return None
 
 
 def solve_core_correction(problem: AbsorptionProblem) -> Certificate:
     """Emit a deletion certificate or a parity cut, each checked once.
 
-    ``solve_defect`` checks the cut; a deletion is rechecked here by
-    physically deleting its q-tuples.
+    A cut is rechecked here from the graph, and a deletion by physically
+    deleting its q-tuples.
     """
     outcome = solve_defect(problem.table, problem.q, problem.label.mask())
     if not isinstance(outcome, TraceSelection):
+        reason = _cut_failure(problem, outcome)
+        if reason is not None:
+            raise InternalInvariantError(reason)
         return ParityCut(q=problem.q, lift=problem.lift, core=problem.core, members=tuple(bits_of(outcome)))
     chosen = tuple(
         (problem.table.members_of(mask), deletion)
         for mask, deletion in zip(outcome.masks, outcome.deletions)
     )
-    cert = DeletionCertificate(
-        q=problem.q,
-        lift=problem.lift,
-        core=problem.core,
-        chosen=chosen,
-        residue_achieved=None,
-    )
+    cert = DeletionCertificate(q=problem.q, lift=problem.lift, core=problem.core, chosen=chosen,
+                               residue_achieved=None)
     ok, residue = _deletion_outcome(problem, cert)
     if not ok:
         raise InternalInvariantError("deletion certificate failed independent verification")
@@ -251,7 +248,7 @@ def verify_parity_cut(problem: AbsorptionProblem, members) -> bool:
     cut_set = check_subset(problem.graph, members)
     if not cut_set <= set(problem.core):
         raise ValueError("parity cut must be a subset of the core")
-    return _cut_failure(problem.table, problem.q, problem.label.mask(), mask_of(cut_set)) is None
+    return _cut_failure(problem, mask_of(cut_set)) is None
 
 
 def all_tail_identity_check(problem: AbsorptionProblem) -> str | None:

@@ -345,8 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("parity", _cmd_parity, "even-degree bipartition with verification")
     add("absorb", _cmd_absorb, "solve one core correction; exit 0 deletion / 1 parity cut",
         core=True, witness=True, q=True)
-    add("check-modular", _cmd_check_modular, "test degree congruence of a vertex set",
-        witness=True, q=True)
+    # is_q_modular takes any modulus; only the dyadic steps need a power of two.
+    modular_cmd = add("check-modular", _cmd_check_modular, "test degree congruence of a vertex set",
+                      witness=True)
+    modular_cmd.add_argument("--q", type=int, required=True, help="modulus (any q >= 1)")
     add("traces", _cmd_traces, "trace table of the tail against the core",
         core=True, witness=True)
     add("next-bit", _cmd_next_bit, "next-bit obstruction classes of the tail counts",

@@ -13,7 +13,7 @@ import random
 from itertools import combinations
 
 from .absorb import AbsorptionProblem
-from .graph import Graph, mask_of
+from .graph import Graph, bits_of, mask_of
 
 MAX_EXACT_N = 24
 MAX_ORACLE_TRACES = 20
@@ -50,21 +50,25 @@ def brute_force_absorption(
 
     Each subset is tested by physically deleting one q-tuple per chosen
     trace and recomputing the core degrees modulo 2q; no quotient algebra is
-    involved.  Deletes the q lowest-id realizers like the engine, or random
-    q-tuples when ``rng`` is given (the outcome must not depend on the
-    choice, since degrees see only the trace and the count).
+    involved, and the tail is grouped by trace here rather than read from
+    the problem's trace table.  Deletes the q lowest-id realizers like the
+    engine, or random q-tuples when ``rng`` is given (the outcome must not
+    depend on the choice, since degrees see only the trace and the count).
     """
-    table = problem.table
     q = problem.q
-    available = table.available_masks(q)
+    graph = problem.graph
+    core_mask = mask_of(problem.core)
+    groups: dict[int, list[int]] = {}
+    for v in sorted(problem.witness.members.difference(problem.core)):
+        groups.setdefault(graph.adj_masks[v] & core_mask, []).append(v)
+    available = sorted(mask for mask, realizers in groups.items() if len(realizers) >= q)
     if len(available) > MAX_ORACLE_TRACES:
         raise ValueError(f"too many available traces for the oracle: {len(available)}")
-    graph = problem.graph
     two_q = 2 * q
     witness_members = problem.witness.members
     tuples = []
     for mask in available:
-        realizers = table.entries[mask]
+        realizers = groups[mask]
         if rng is None:
             tuples.append(realizers[:q])
         else:
@@ -81,7 +85,7 @@ def brute_force_absorption(
         }
         if len(residues) == 1:
             chosen = tuple(
-                table.members_of(available[j])
+                tuple(bits_of(available[j]))
                 for j in range(len(available))
                 if selector >> j & 1
             )

@@ -3,7 +3,7 @@
 ``_reference_absorb`` keeps the vertex-level ``verify_parity_cut`` and the
 position-level ``_assert_cut_valid``; both read trace masks over core
 positions from the frozen ``_reference_traces``, while the cut predicate
-works on vertex-id masks.  On realized problems, relabeled so that core ids
+reads vertex-id masks off the graph and builds no trace table.  On realized problems, relabeled so that core ids
 are not core positions, and arbitrary candidate cuts the new code must give
 the same verdict, the same failure reason, or raise the same exception type.
 """
@@ -68,4 +68,4 @@ def test_cut_predicate_matches_reference_assertion(problem, data):
     except InternalInvariantError as exc:
         expected = str(exc)
     cut_mask = mask_of(core[p] for p in positions)
-    assert _cut_failure(problem.table, problem.q, problem.label.mask(), cut_mask) == expected
+    assert _cut_failure(problem, cut_mask) == expected

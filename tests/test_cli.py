@@ -213,6 +213,22 @@ class TestAbsorbChecksOnce:
         assert err.count("\n") == 1 and err.startswith("internal error: ")
         assert message in err
 
+    def test_cut_is_checked_from_the_graph(self, tmp_path, capsys, monkeypatch):
+        # A grouping defect that the solve and a table-reading check would share:
+        # every trace loses its last realizer, so each pair trace falls below
+        # q = 2 and the solve returns a cut that the graph refutes.
+        import modcert.absorb
+        from modcert.traces import compute_traces
+
+        def lossy(*args):
+            table = compute_traces(*args)
+            return table._replace(entries={mask: found[:-1] for mask, found in table.entries.items()})
+
+        monkeypatch.setattr(modcert.absorb, "compute_traces", lossy)
+        code, out, err = run_cli(capsys, _absorb_args(write_graph(tmp_path, DELETION_PROBLEM.graph),
+                                                      DELETION_PROBLEM))
+        assert (code, out, err) == (3, "", "internal error: parity cut meets an available trace oddly\n")
+
 
 class TestAnalysisCommands:
     def test_check_modular(self, tmp_path, capsys):
@@ -226,6 +242,17 @@ class TestAnalysisCommands:
             "command": "check-modular", "q": 1000, "modular": True,
             "residue": 2, "conflict": None,
         }
+
+    def test_check_modular_takes_any_modulus(self, tmp_path, capsys):
+        # Only the dyadic steps need a power of two; the help must not claim otherwise.
+        with pytest.raises(SystemExit) as stop:
+            main(["check-modular", "--help"])
+        help_text = capsys.readouterr().out
+        assert stop.value.code == 0
+        assert "power of two" not in help_text and "modulus (any q >= 1)" in help_text
+        code, out, err = run_cli(capsys, ["check-modular", write_graph(tmp_path, cycle(4)),
+                                          "--witness", "0,1,2,3", "--q", "3"])
+        assert (code, out, err) == (0, "3-modular: True, residue 2\n", "")
 
     def test_traces_and_next_bit(self, tmp_path, capsys):
         fixture = tmp_path / "cancelling.txt"

@@ -5,7 +5,7 @@ import pytest
 
 import modcert.absorb as absorb
 import modcert.traces as traces
-from modcert.absorb import DeletionCertificate, verify_certificate
+from modcert.absorb import AbsorptionProblem, DeletionCertificate, solve_core_correction, verify_certificate
 from modcert.graph import Graph, bits_of, is_regular, mask_of
 from modcert.oracle import (
     brute_force_absorption,
@@ -246,3 +246,30 @@ def test_verify_certificate_agrees_with_a_physical_recount(monkeypatch):
             accepted += valid
             rejected += not valid
     assert accepted > 100 and rejected > 100
+
+
+def test_absorption_oracle_groups_its_own_tail(monkeypatch):
+    # With every trace table out of reach the oracle still answers, and it
+    # finds an absorption exactly when the engine emits a deletion.
+    rng = random.Random(0x0AC1E)
+    problems = absorbable = 0
+    while problems < 40:
+        m = rng.choice([2, 3, 4, 5])
+        q = rng.choice([2, 4])
+        masks = rng.sample(range(1, 1 << m), k=rng.randrange(0, min(8, 1 << m)))
+        realized = realize_problem(m, q, masks, rng.getrandbits(m))
+        if realized is None:
+            continue
+        problems += 1
+        problem = AbsorptionProblem.build(realized.witness, realized.core)
+        with monkeypatch.context() as patch:
+            for module in (traces, absorb):
+                patch.setattr(module, "compute_traces", None)
+            exists, chosen = brute_force_absorption(problem)
+        assert exists == isinstance(solve_core_correction(realized), DeletionCertificate)
+        if exists:
+            groups = tail_groups(realized)
+            deletion = [(trace, tuple(groups[mask_of(trace)][:q])) for trace in chosen]
+            assert recount(realized, deletion) is not None
+        absorbable += exists
+    assert 0 < absorbable < problems

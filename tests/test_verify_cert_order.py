@@ -431,11 +431,11 @@ class TestNoTraceTable:
         assert self._verify(tmp_path, capsys, traced, problem,
                             lambda c: c.update(residue_achieved=3))[::2] == (1, 0)
 
-    def test_cut_reads_the_trace_table_once(self, tmp_path, capsys, traced):
+    def test_cut_builds_no_trace_table(self, tmp_path, capsys, traced):
         problem = realize_problem(4, 2, [0b0011, 0b1100], 0b0001)
         code, out, calls = self._verify(tmp_path, capsys, traced, problem)
         assert code == 0 and json.loads(out)["valid"] is True
-        assert calls == 1
+        assert calls == 0
 
     def test_problem_builds_its_table_on_first_use(self, traced):
         problem = path_pair_trace_problem(2)
