@@ -2,7 +2,10 @@
 
 Exit codes are part of the contract: 0 success (for ``absorb``: a deletion
 certificate), 1 the parity-cut branch of a decision, 2 invalid input, and 3
-an internal inconsistency that should never happen.  Every run ends in one of
+an internal inconsistency that should never happen.  Two more report the
+environment, as a shell reports a process killed by the signal: 130 an
+interrupt (SIGINT, one ``interrupted`` line on stderr) and 141 a reader that
+closed stdout early (SIGPIPE, nothing on stderr).  Every run ends in one of
 them, never in a traceback.
 """
 
@@ -386,7 +389,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so that a closed stdout raises inside this try.
+        sys.stdout.flush()
+        return code
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    except BrokenPipeError:
+        # As the "Note on SIGPIPE" in Python's signal docs shows: whatever is
+        # still buffered goes to devnull, so the flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,27 +12,32 @@ run out it closes the rows with A | Aᵀ by a delta-swap bit transpose of
 tiles at most 1024 bits square.  Sparse graphs never reach the switch.  The
 parsers stream validated edges into it without building an edge list
 (except a header-less edge list, whose vertex count is known only at the
-end), wrapped in the private ``_Parsed`` so that it fills them unchecked.
-Each edge is thus checked once: by the parser that reads it, or by the
-builder for edges from any other caller.
+end), wrapped in the private ``_Parsed`` so that it skips ``_checked``.
+The fill tests every edge for a self-loop.  The parser that reads an edge
+finds malformed lines and ids out of range (and, when it reads line by
+line, self-loops, with their line); ``_checked`` finds endpoints out of
+range in edges from any other caller.
 
 An edge list with an ``n <count>`` header is read in chunks of about 64 Ki
 characters, each extended to the end of its line.  A chunk of canonical lines
 only -- ``u v`` with one space, ids in the default decimal spelling (no sign,
-no leading zero) below the count, ``u != v`` -- is checked in one pass that
-runs in C (ASCII, and nothing but one space and one newline per line once
-the digits are deleted) and converted by dict lookups.  Any other chunk
-(comments, blank lines, other whitespace, non-ASCII digits, ``01`` or
-``+2``, a missing final newline, an error) is read line by line by
-:func:`_numbered_edges`, which alone defines the accepted syntax and the
-error messages; line numbers count from the start of the stream either way.
+no leading zero) below the count -- is checked in one pass that runs in C
+(ASCII, and nothing but one space and one newline per line once the digits
+are deleted) and converted by dict lookups; its line count is half its
+token count.  Any other chunk (comments, blank lines, other whitespace,
+non-ASCII digits, ``01`` or ``+2``, a missing final newline, an error) is
+read line by line by :func:`_numbered_edges`, which alone defines the
+accepted syntax and the error messages; line numbers count from the start of
+the stream either way.  A self-loop in a canonical chunk is found by the
+fill, and that one chunk is then read again line by line for its message
+and line.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, islice
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError
@@ -58,10 +63,13 @@ class Graph(_GraphFields):
     ) -> "Graph":
         """The graph on vertices 0..n-1 with the given edges, repeats allowed.
 
-        Edges in a ``_Parsed`` were checked by the parser that read them and
-        are filled as they are.  Any other edges pass through ``_checked``,
-        which raises ``ValueError`` at the first self-loop or endpoint
-        outside 0..n-1.
+        The fill raises ``ValueError`` at the first self-loop.  Endpoints of
+        edges in a ``_Parsed`` were range-checked by the parser that read
+        them; any other edges pass through ``_checked``, which raises
+        ``ValueError`` at the first endpoint outside 0..n-1, so the first
+        bad edge raises.  For a ``_Parsed``, the self-loop error is the
+        private ``_SelfLoop``, so that the loader that made the edges can
+        name the line.
         """
         name_tuple = tuple(names) if names is not None else tuple(str(v) for v in range(n))
         if len(name_tuple) != n:
@@ -70,13 +78,20 @@ class Graph(_GraphFields):
         rows = [bytearray((n + 7) >> 3) for _ in range(n)]
         byte = [v >> 3 for v in range(n)]
         bit = [1 << (v & 7) for v in range(n)]
-        edges = iter(edges.pairs) if type(edges) is _Parsed else _checked(edges, n)
+        if type(edges) is _Parsed:
+            edges, loop_error = iter(edges.pairs), _SelfLoop
+        else:
+            edges, loop_error = _checked(edges, n), ValueError
         for u, v in islice(edges, side * side >> 5):
+            if u == v:
+                raise loop_error(f"self-loop at vertex {u}")
             rows[u][byte[v]] |= bit[v]
             rows[v][byte[u]] |= bit[u]
         rest = next(edges, None)
         if rest is not None:
             for u, v in chain((rest,), edges):
+                if u == v:
+                    raise loop_error(f"self-loop at vertex {u}")
                 rows[u][byte[v]] |= bit[v]
             _symmetrize(rows)
         masks = tuple(int.from_bytes(row, "little") for row in rows)
@@ -112,23 +127,21 @@ class Graph(_GraphFields):
 _TILE = 1 << 10
 
 
-def _edge_error(u: int, v: int, n: int) -> ValueError:
-    if not (0 <= u < n and 0 <= v < n):
-        return ValueError(f"edge ({u},{v}) out of range for n={n}")
-    return ValueError(f"self-loop at vertex {u}")
-
-
 class _Parsed(NamedTuple):
-    """Edges a parser of this module has checked, which :meth:`Graph.from_edges` fills unchecked."""
+    """Edges a parser of this module has range-checked, which :meth:`Graph.from_edges` fills without ``_checked``."""
 
     pairs: Iterable[tuple[int, int]]
 
 
+class _SelfLoop(ValueError):
+    """The self-loop :meth:`Graph.from_edges` met in a ``_Parsed``; its loader names the line."""
+
+
 def _checked(edges: Iterable[tuple[int, int]], n: int) -> Iterator[tuple[int, int]]:
-    """``edges``, raising at the first self-loop or endpoint outside 0..n-1."""
+    """``edges``, raising at the first endpoint outside 0..n-1; the fill tests self-loops."""
     for u, v in edges:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise _edge_error(u, v, n)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         yield u, v
 
 
@@ -263,7 +276,13 @@ def _load_edge_list(lines: Iterator[tuple[int, str]], stream: IO[str]) -> Graph:
         if declared_n is None:
             return _load_named_edges(chain([(lineno, raw)], lines))
         chunks = _numbered_chunks(stream, declared_n, lineno + 1)
-        return Graph.from_edges(declared_n, _Parsed(chain.from_iterable(chunks)))
+        try:
+            return Graph.from_edges(declared_n, _Parsed(chain.from_iterable(chunks)))
+        except _SelfLoop as exc:
+            # ``chunks`` is paused on the chunk the fill was reading; it
+            # raises the ParseError of that chunk's first bad line.
+            chunks.throw(exc)
+            raise
     return Graph.from_edges(0, ())
 
 
@@ -288,20 +307,32 @@ def _numbered_chunks(stream: IO[str], n: int, lineno: int) -> Iterator[Iterable[
     """The edges after an ``n`` header, one iterable per chunk of whole lines.
 
     ``lineno`` is the number of the stream's next line.  A canonical chunk is
-    converted at once, any other chunk line by line.
+    converted at once, any other chunk line by line.  A canonical chunk's
+    pairs are not tested for self-loops here: the fill raises ``_SelfLoop``
+    at one, and the loader throws it back in while this generator is paused
+    on the chunk, which is then read line by line for the ParseError.
     """
     ids = {str(v): v for v in range(n)}
     while chunk := stream.read(_CHUNK):
         if chunk[-1] != "\n":
             chunk += stream.readline()
-        yield _canonical_edges(chunk, ids) or _numbered_edges(
-            enumerate(chunk.split("\n"), start=lineno), n
-        )
-        lineno += chunk.count("\n")
+        ends = _canonical_ids(chunk, ids)
+        if ends is None:
+            yield _numbered_edges(enumerate(chunk.split("\n"), start=lineno), n)
+            lineno += chunk.count("\n")
+        else:
+            pairs = iter(ends)
+            try:
+                yield zip(pairs, pairs)
+            except _SelfLoop:
+                for _ in _numbered_edges(enumerate(chunk.split("\n"), start=lineno), n):
+                    pass
+                raise
+            lineno += len(ends) >> 1
 
 
-def _canonical_edges(chunk: str, ids: dict[str, int]) -> zip | None:
-    """The id pairs of a chunk whose every line is canonical ``u v``, else None.
+def _canonical_ids(chunk: str, ids: dict[str, int]) -> tuple[int, ...] | None:
+    """The endpoint ids, in order, of a chunk whose every line is ``u v`` in canonical form, else None.
 
     An ASCII chunk that ends in a newline, with its decimal digits deleted,
     is k copies of ``" \\n"`` and splits into 2k or 2k + 1 tokens exactly
@@ -309,8 +340,9 @@ def _canonical_edges(chunk: str, ids: dict[str, int]) -> zip | None:
     digit runs must then all be nonempty.  The check runs in C: one
     ``isascii``, one ``encode`` (which cannot fail on ASCII) and one
     ``translate``; it fails on a chunk without tokens, so ``itemgetter``
-    gets at least two.  ``ids`` holds only the default names, so a lookup
-    fails on ``01``, ``+2`` or an id out of range.
+    gets at least two and the chunk has ``len(tokens) >> 1`` lines.
+    ``ids`` holds only the default names, so a lookup fails on ``01``,
+    ``+2`` or an id out of range.  Self-loops pass.
     """
     if not chunk.isascii() or chunk[-1] != "\n":
         return None
@@ -318,13 +350,9 @@ def _canonical_edges(chunk: str, ids: dict[str, int]) -> zip | None:
     if chunk.encode("ascii").translate(None, b"0123456789") != b" \n" * (len(tokens) >> 1):
         return None
     try:
-        ends = itemgetter(*tokens)(ids)
+        return itemgetter(*tokens)(ids)
     except KeyError:
         return None
-    check, pairs = iter(ends), iter(ends)
-    if any(map(eq, check, check)):
-        return None
-    return zip(pairs, pairs)
 
 
 def _numbered_edges(lines: Iterator[tuple[int, str]], n: int) -> Iterator[tuple[int, int]]:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,8 @@ from modcert.parity import verify_even_partition
 from synth import path_pair_trace_problem, realize_problem
 
 from conftest import complete_bipartite, cycle, edges_of
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def edge_list_text(graph: Graph) -> str:
@@ -716,6 +719,40 @@ class TestFormats:
         code, _, err = run_cli(capsys, ["parity", "/nonexistent/graph.txt"])
         assert code == 2
         assert "error" in err
+
+
+class TestEnvironmentExits:
+    """An interrupt and a closed stdout are reported as the signal's exit
+    code, 128 + 2 and 128 + 13, not as invalid input or a defect."""
+
+    def test_interrupt_exit_130(self, tmp_path, capsys, monkeypatch):
+        import modcert.cli
+
+        def interrupted(stream, fmt):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(modcert.cli, "load_graph", interrupted)
+        code, out, err = run_cli(capsys, ["nd", write_graph(tmp_path, cycle(4)), "--json"])
+        assert (code, out, err) == (130, "", "interrupted\n")
+
+    def test_closed_stdout_exit_141(self, tmp_path):
+        # About 150 KB of JSON, more than a pipe holds, so the child is still
+        # writing when the reader closes its end after one byte.
+        n = 6000
+        target = tmp_path / "path.txt"
+        target.write_text(f"n {n}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        child = subprocess.Popen([sys.executable, "-m", "modcert", "nd", str(target), "--json"],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert child.stdout.read(1) == b"{"
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert (code, err) == (141, b"")
 
 
 def test_installed_entry_point_runs():

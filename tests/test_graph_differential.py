@@ -10,7 +10,12 @@ vertex count.  A DIMACS problem line with a negative count is now rejected at
 that line; the reference failed later, or with a names-count error.
 
 A headed edge list is read in chunks; the chunk size is shrunk here so that
-chunk boundaries fall between, before and after every kind of line.
+chunk boundaries fall between, before and after every kind of line.  A
+canonical chunk is not tested for self-loops by the parser: the fill finds
+them, and the loader reads that one chunk again line by line for the
+message and line.  Self-loops are placed around defects, in pairs and at
+both ends of a chunk so that the first error of the file is still the one
+reported.
 
 ``Graph.from_edges`` sets both directions of an edge only up to a switch
 (N²/32 edges, N the vertex count rounded up to a power of two), then one
@@ -254,6 +259,10 @@ def chunked_outcomes(text: str, chunk: int):
     return new, outcome(ref.load_edge_list, text)
 
 
+# Chunk sizes: one line per chunk, a few, ten short lines, and the default.
+CHUNKS = (1, 9, 40, graph_module._CHUNK)
+
+
 def test_chunked_parse_with_one_defect_anywhere():
     """One defect on every line in turn, so it lands first, last and inside a chunk."""
     rnd = random.Random(41)
@@ -278,14 +287,84 @@ def test_chunked_parse_with_non_canonical_lines_anywhere():
                     assert new == old and new[0] == "graph", (chunk, index, line, end)
 
 
+def test_self_loop_then_each_defect_in_a_later_chunk():
+    """The self-loop's chunk is canonical, so the fill finds it; the defect
+    after it, in a later chunk (in the same one at the default size), is
+    never reached."""
+    body = canonical_lines(6, 24, random.Random(47))
+    for chunk in CHUNKS:
+        for defect in DEFECTS:
+            lines = ["n 6"] + body[:3] + ["2 2"] + body[4:20] + [defect] + body[21:]
+            new, old = chunked_outcomes("\n".join(lines) + "\n", chunk)
+            assert new == old == ("error", ParseError, "line 5: self-loop at vertex '2'", 5), (chunk, defect)
+
+
+def test_defect_then_self_loop():
+    body = canonical_lines(6, 24, random.Random(48))
+    for chunk in CHUNKS:
+        for defect in DEFECTS:
+            lines = ["n 6"] + body[:3] + [defect] + body[4:20] + ["2 2"] + body[21:]
+            new, old = chunked_outcomes("\n".join(lines) + "\n", chunk)
+            assert new == old and new[0] == "error" and new[3] == 5, (chunk, defect)
+
+
+def test_two_self_loops_in_one_chunk():
+    """Lines 13 and 15 of the body share a chunk at every size but 1."""
+    body = canonical_lines(6, 24, random.Random(49))
+    for chunk in CHUNKS:
+        lines = ["n 6"] + body[:12] + ["4 4"] + body[13:14] + ["1 1"] + body[15:]
+        new, old = chunked_outcomes("\n".join(lines) + "\n", chunk)
+        assert new == old == ("error", ParseError, "line 14: self-loop at vertex '4'", 14), chunk
+
+
+def test_self_loop_at_every_line_of_canonical_chunks():
+    """Every body line is four characters, so chunk sizes 1, 9 and 40 give
+    chunks of 1, 3 and 10 lines: the self-loop lands on the first and on the
+    last line of a chunk, and inside one."""
+    body = canonical_lines(6, 24, random.Random(50))
+    for chunk in CHUNKS:
+        for index in range(len(body)):
+            for loop in ("0 0", "5 5"):
+                lines = ["n 6"] + body[:index] + [loop] + body[index + 1:]
+                new, old = chunked_outcomes("\n".join(lines) + "\n", chunk)
+                assert new == old == ("error", ParseError, f"line {index + 2}: self-loop at vertex '{loop[0]}'",
+                                      index + 2), (chunk, index)
+
+
+def test_self_loop_found_by_the_fill_rereads_only_its_chunk(monkeypatch):
+    """The chunks are canonical, so only the self-loop's chunk is read line by line."""
+    calls = []
+    real = graph_module._numbered_edges
+    monkeypatch.setattr(graph_module, "_numbered_edges", lambda lines, n: calls.append(n) or real(lines, n))
+    monkeypatch.setattr(graph_module, "_CHUNK", 40)
+    body = canonical_lines(6, 30, random.Random(51))
+    text = "\n".join(["n 6"] + body[:14] + ["3 3"] + body[15:]) + "\n"
+    assert outcome(load_graph, text) == outcome(ref.load_edge_list, text)
+    assert calls == [6]
+
+
+@pytest.mark.parametrize("position", ["before", "after"])
+def test_self_loop_around_the_switch_in_a_dense_headed_text(position):
+    """G(40, 1/2) has more edges than the switch (128 for n = 40)."""
+    pairs = edge_pairs(40, 0.5, random.Random(52))
+    switch = _switch(40)
+    assert len(pairs) > switch + 20
+    index = switch - 20 if position == "before" else switch + 20
+    lines = ["n 40"] + [f"{u} {v}" for u, v in pairs]
+    lines[index + 1] = "39 39"
+    for chunk in CHUNKS:
+        new, old = chunked_outcomes("\n".join(lines) + "\n", chunk)
+        assert new == old == ("error", ParseError, f"line {index + 2}: self-loop at vertex '39'", index + 2), chunk
+
+
 @st.composite
 def headed_text(draw) -> str:
-    """An ``n 6`` edge list of mostly canonical lines, some not, at most one defect."""
+    """An ``n 6`` edge list of mostly canonical lines, some not, up to two defects."""
     lines = [draw(st.sampled_from(["n 6", " n 6 # header", "n\t6", "# lead\nn 6"]))]
     lines += canonical_lines(6, draw(st.integers(0, 40)), draw(st.randoms(use_true_random=False)))
     for _ in range(draw(st.integers(0, 4))):
         lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(NON_CANONICAL)))
-    if draw(st.booleans()):
+    for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(DEFECTS)))
     return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n", "\r\n"]))
 
@@ -441,6 +520,23 @@ def test_bad_edges_after_the_switch_raise_as_the_reference(n):
                 build(n, iter(head + [bad] + head[:3]))
             outcomes.append(str(err.value))
         assert outcomes[0] == outcomes[1], (n, bad)
+
+
+@pytest.mark.parametrize("n", [2, 9, 33, 1025])
+def test_self_loops_on_both_sides_of_the_switch_raise_as_the_reference(n):
+    """A plain iterable: the fill finds the self-loop, ``_checked`` an
+    endpoint out of range, whichever comes first."""
+    rnd = random.Random(n + 3)
+    head = _random_pairs(n, _switch(n) + 3, rnd)
+    for index in (0, _switch(n) // 2, _switch(n) + 1):
+        for bad in ([(1, 1)], [(1, 1), (0, n)], [(0, n), (1, 1)], [(1, 1), (0, 0)]):
+            pairs = head[:index] + bad + head[index:]
+            outcomes = []
+            for build in (Graph.from_edges, ref.RefGraph.from_edges):
+                with pytest.raises(ValueError) as err:
+                    build(n, iter(pairs))
+                outcomes.append((type(err.value), str(err.value)))
+            assert outcomes[0] == outcomes[1], (n, index, bad)
 
 
 @pytest.mark.parametrize("tile", [8, 16])
