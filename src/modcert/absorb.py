@@ -259,22 +259,33 @@ def all_tail_identity_check(problem: AbsorptionProblem) -> str | None:
     deleting the whole tail then leaves exactly the core synchronized mod
     2q, which is re-derived by direct degree recomputation on the bare core.
     """
-    q = problem.q
-    for mask in problem.table.masks():
-        if problem.table.count(mask) % q:
-            return f"multiplicity of trace {problem.table.members_of(mask)} is not divisible by q"
+    q, table = problem.q, problem.table
+    reason = _indivisible_trace(table, q)
+    if reason is not None:
+        return reason
     acc = 0
-    for mask in problem.table.masks():
-        if (problem.table.count(mask) // q) % 2:
+    for mask, realizers in table.entries.items():
+        if len(realizers) // q % 2:
             acc ^= mask
     if acc ^ problem.label.mask() not in (0, mask_of(problem.core)):
         return "block-parity sum of trace classes misses the top-bit defect"
-    check = is_q_modular(problem.graph, problem.core, 2 * q)
-    if not check.modular:
-        raise InternalInvariantError(
-            "all-tail identity held but the bare core is not 2q-modular"
-        )
+    _check_bare_core(problem, "all-tail identity")
     return None
+
+
+def _indivisible_trace(table: TraceTable, q: int) -> str | None:
+    """Why the tail has no twin-tail decomposition: the first trace, in mask
+    order, whose multiplicity q does not divide; None when q divides every one."""
+    for mask in table.masks():
+        if table.count(mask) % q:
+            return f"multiplicity of trace {table.members_of(mask)} is not divisible by q"
+    return None
+
+
+def _check_bare_core(problem: AbsorptionProblem, held: str) -> None:
+    """Raise unless the bare core is 2q-modular, as the conditions that ``held`` imply."""
+    if not is_q_modular(problem.graph, problem.core, 2 * problem.q).modular:
+        raise InternalInvariantError(f"{held} held but the bare core is not 2q-modular")
 
 
 def self_layer_check(problem: AbsorptionProblem, cert: DeletionCertificate) -> tuple[int, ...]:
@@ -335,12 +346,12 @@ def pair_trace_sufficiency(table: TraceTable, q: int, view: PairTraceView) -> st
 def twin_tail_decompose(table: TraceTable, q: int) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
     """The tail as size-q ``(mask, members)`` blocks of one trace each, lowest ids first.
 
-    None when some trace's multiplicity is not divisible by q.
+    Trace B gives n_B / q blocks, in mask order.  None when some trace's
+    multiplicity is not divisible by q.
     """
     _check_modulus(q)
-    for mask in table.masks():
-        if table.count(mask) % q:
-            return None
+    if _indivisible_trace(table, q) is not None:
+        return None
     blocks = []
     for mask in table.masks():
         realizers = table.entries[mask]
@@ -349,68 +360,39 @@ def twin_tail_decompose(table: TraceTable, q: int) -> tuple[tuple[int, tuple[int
     return tuple(blocks)
 
 
-def basis_tail_check(
-    problem: AbsorptionProblem,
-    blocks: tuple[tuple[int, tuple[int, ...]], ...],
-    base_vertex: int | None = None,
-) -> str | None:
+def basis_tail_check(problem: AbsorptionProblem, base_vertex: int | None = None) -> str | None:
     """Why a singleton-block parity pattern fails, or None when it holds.
 
-    The pattern is sufficient for the all-tail identity.  ``blocks`` are
-    ``(mask, members)`` pairs, as ``twin_tail_decompose`` returns them.
-    Condition 1: for each core vertex u other than the base, the number of
-    blocks with trace {u} has the parity of label(u) + label(base).
-    Condition 2: all remaining block traces cancel in the quotient.
-    This is sufficient, not necessary; the base vertex defaults to the lowest
-    core id but may be chosen freely, and the conditions depend on it.
+    The pattern is read off the trace table: in the twin-tail decomposition
+    trace B gives n_B / q blocks, so it needs every multiplicity divisible by
+    q, and otherwise fails with the all-tail identity's reason.
+    Condition 1: for each core vertex u other than the base, n_{u} / q (the
+    number of blocks with trace {u}) has the parity of label(u) + label(base).
+    Condition 2: the other traces with an odd number of blocks cancel in the
+    quotient.  The pattern is sufficient for the all-tail identity, not
+    necessary; the base vertex defaults to the lowest core id but may be
+    chosen freely, and the conditions depend on it.
     """
-    _validate_blocks(problem, blocks)
-    core = problem.core
+    core, q, table = problem.core, problem.q, problem.table
     u0 = core[0] if base_vertex is None else base_vertex
     if u0 not in core:
         raise ValueError(f"base vertex {u0} is not in the core")
+    reason = _indivisible_trace(table, q)
+    if reason is not None:
+        return reason
     labels = problem.label.labels
-    singleton_counts = dict.fromkeys(core, 0)
-    remainder_acc = 0
-    for mask, _members in blocks:
-        if mask.bit_count() == 1 and mask != 1 << u0:
-            singleton_counts[mask.bit_length() - 1] += 1
-        else:
-            remainder_acc ^= mask
+    odd = {mask for mask, realizers in table.entries.items() if len(realizers) // q % 2}
+    singletons = {1 << u for u in core if u != u0}
     for u in core:
-        if u == u0:
-            continue
-        expected = (labels[u] + labels[u0]) % 2
-        if singleton_counts[u] % 2 != expected:
+        if u != u0 and ((1 << u) in odd) != (labels[u] != labels[u0]):
             return f"singleton-block count at vertex {u} has the wrong parity"
+    remainder_acc = 0
+    for mask in odd - singletons:
+        remainder_acc ^= mask
     if remainder_acc not in (0, mask_of(core)):
         return "remaining block traces do not cancel in the quotient"
-    check = is_q_modular(problem.graph, problem.core, 2 * problem.q)
-    if not check.modular:
-        raise InternalInvariantError(
-            "basis-tail conditions held but the bare core is not 2q-modular"
-        )
+    _check_bare_core(problem, "basis-tail conditions")
     return None
-
-
-def _validate_blocks(problem: AbsorptionProblem, blocks) -> None:
-    q = problem.q
-    seen: set[int] = set()
-    tail = problem.witness.members.difference(problem.core)
-    adj, core_mask = problem.graph.adj_masks, mask_of(problem.core)
-    for mask, members in blocks:
-        if len(members) != q:
-            raise ValueError(f"block {members} does not have size q={q}")
-        for v in members:
-            if v in seen:
-                raise ValueError(f"vertex {v} appears in two blocks")
-            if v not in tail:
-                raise ValueError(f"block vertex {v} is not a tail vertex")
-            seen.add(v)
-            if adj[v] & core_mask != mask:
-                raise ValueError(f"vertex {v} does not have the block's declared trace")
-    if seen != tail:
-        raise ValueError("blocks must partition the whole tail")
 
 
 def certificate_to_json(cert: Certificate, name_of=str) -> dict:

@@ -407,6 +407,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        # The input is too large for this machine, not a defect of the program.
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except Exception as exc:
         # Last resort, so that no run ends in a traceback: any other failure
         # is a defect of the program, not of its input.  The repr keeps the

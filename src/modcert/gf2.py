@@ -126,7 +126,8 @@ def mat_vec(m: BitMatrix, x: BitVector) -> BitVector:
 
 
 def _settle(work: list[int], buckets: list[list[int]], ids: Iterable[int], cols: int) -> None:
-    """Append each row in ``ids`` to the bucket of its lowest set bit, as ``_eliminate`` does."""
+    """Append each row in ``ids`` to the bucket of its lowest set bit, or to
+    the last bucket when it has no bit at or below ``cols``."""
     for i in ids:
         r = work[i]
         low = (r & -r).bit_length() - 1
@@ -170,9 +171,7 @@ def _eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], list[tuple[in
     # The last bucket collects rows with no bit at or below ``cols``; a zero
     # row has low == -1 and lands there too.
     buckets: list[list[int]] = [[] for _ in range(cols + 2)]
-    for i, r in enumerate(work):
-        low = (r & -r).bit_length() - 1
-        buckets[low if low <= cols else -1].append(i)
+    _settle(work, buckets, range(len(work)), cols)
     # Whether bucket j may hold rows whose lowest bit lies further on, moved
     # there by a block step.  No comprehension in this function: in it, free
     # variables become cells that every call creates, the many small calls

@@ -11,7 +11,8 @@ absorbable.
 Randomness is Mersenne Twister with per-trial streams derived from
 (seed, trial index), so serial and parallel execution agree and identical
 specs reproduce identical output byte for byte.  The stream contract: trial t
-seeds ``random.Random((seed << 32) + t)`` and, for the uniform distribution,
+seeds ``random.Random((seed << 32) + t)``, which for a seed >= 0 and t < 2^32
+is a distinct stream per (seed, t), and, for the uniform distribution,
 its N samples are the values of N successive ``getrandbits(m)`` calls; a
 sample of an explicit distribution takes one ``random()`` call.  Uniform
 samples of more than 8 bits are drawn by exactly those calls.  Samples of at
@@ -71,6 +72,10 @@ class ReservoirSpec(_ReservoirSpecFields):
             raise ValueError(f"sample count must be >= 1, got {samples}")
         if trials < 1:
             raise ValueError(f"trial count must be >= 1, got {trials}")
+        # random.Random seeds from |x|, so a negative seed would replay
+        # another seed's trials.
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         if distribution != "uniform":
             total = 0.0
             full = (1 << core_size) - 1
@@ -89,19 +94,7 @@ class ReservoirSpec(_ReservoirSpecFields):
         return super().__new__(cls, core_size, q, samples, trials, seed, distribution)
 
     def to_json_dict(self) -> dict:
-        dist = (
-            "uniform"
-            if self.distribution == "uniform"
-            else [[mask, prob] for mask, prob in self.distribution]
-        )
-        return {
-            "core_size": self.core_size,
-            "q": self.q,
-            "samples": self.samples,
-            "trials": self.trials,
-            "seed": self.seed,
-            "distribution": dist,
-        }
+        return self._asdict()
 
 
 # Samples per draw after a trial's first: a draw of byte samples, one 32-bit
@@ -203,18 +196,9 @@ class AvailabilityReport(NamedTuple):
     per_trial_failures: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json_dict(),
-            "rng": RNG_ALGORITHM,
-            "basis": [mask for mask in self.basis],
-            "min_probability": self.min_probability,
-            "failures": self.failures,
-            "empirical_failure_rate": self.empirical_failure_rate,
-            "bound": self.bound,
-            "rank_rich_fraction": self.rank_rich_fraction,
-            "advisory_small_sample": self.advisory_small_sample,
-            "per_trial_failures": self.per_trial_failures,
-        }
+        fields = self._asdict()
+        del fields["spec"]
+        return {"spec": self.spec.to_json_dict(), "rng": RNG_ALGORITHM, **fields}
 
 
 def estimate_availability(

@@ -104,15 +104,12 @@ def tail_degrees(table: TraceTable) -> tuple[int, ...]:
     return tuple(out.values())
 
 
-def _orbit_representatives(table: TraceTable) -> list[int]:
-    """One mask per complement orbit, excluding {empty, full}; smaller mask wins."""
+def _oriented_differences(table: TraceTable) -> list[tuple[int, int]]:
+    """(B, n_B - n_{complement}) for the smaller mask B of each complement
+    orbit other than {empty, full}, in mask order."""
     full = mask_of(table.core)
-    reps = set()
-    for mask in table.entries:
-        if mask in (0, full):
-            continue
-        reps.add(min(mask, full ^ mask))
-    return sorted(reps)
+    reps = sorted({min(mask, full ^ mask) for mask in table.entries if mask not in (0, full)})
+    return [(rep, table.count(rep) - table.count(full ^ rep)) for rep in reps]
 
 
 def complement_difference(table: TraceTable) -> tuple[tuple[int, ...], BitVector]:
@@ -125,10 +122,8 @@ def complement_difference(table: TraceTable) -> tuple[tuple[int, ...], BitVector
     """
     if table.size < 1:
         raise ValueError("core must be nonempty")
-    full = mask_of(table.core)
     by_vertex = dict.fromkeys(table.core, 0)
-    for rep in _orbit_representatives(table):
-        diff = table.count(rep) - table.count(full ^ rep)
+    for rep, diff in _oriented_differences(table):
         for v in table.members_of(rep):
             by_vertex[v] += diff
     vector = tuple(by_vertex.values())
@@ -169,10 +164,8 @@ def oriented_orbit_form(table: TraceTable, m: int) -> BitVector | None:
     if m < 0:
         raise ValueError(f"bit index must be >= 0, got {m}")
     modulus = 1 << m
-    full = mask_of(table.core)
     acc = 0
-    for rep in _orbit_representatives(table):
-        diff = table.count(rep) - table.count(full ^ rep)
+    for rep, diff in _oriented_differences(table):
         if diff % modulus:
             return None
         if (diff // modulus) % 2:
@@ -204,21 +197,16 @@ def pair_trace_graph(table: TraceTable, q: int) -> PairTraceView:
     adj = dict.fromkeys(table.core, 0)
     for mask in available:
         if mask.bit_count() == 2:
-            i = (mask & -mask).bit_length() - 1
-            j = mask.bit_length() - 1
+            i, j = bits_of(mask)
             pairs.append((i, j))
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     seen = 1 << table.core[0]
     frontier = [table.core[0]]
     while frontier:
-        v = frontier.pop()
-        fresh = adj[v] & ~seen
-        while fresh:
-            low = fresh & -fresh
-            seen |= low
-            frontier.append(low.bit_length() - 1)
-            fresh ^= low
+        fresh = adj[frontier.pop()] & ~seen
+        seen |= fresh
+        frontier.extend(bits_of(fresh))
     connected = seen == mask_of(table.core)
     odd_heavy = any(mask.bit_count() % 2 == 1 for mask in available)
     return PairTraceView(edges=tuple(sorted(pairs)), connected=connected, has_odd_heavy_trace=odd_heavy)

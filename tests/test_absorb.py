@@ -394,14 +394,14 @@ class TestTwinTailDecompose:
 
 class TestBasisTail:
     def test_worked_example_with_chosen_base(self):
-        problem, blocks = twin_pair_example()
-        assert basis_tail_check(problem, blocks, base_vertex=3) is None
+        problem, _ = twin_pair_example()
+        assert basis_tail_check(problem, base_vertex=3) is None
 
     def test_no_blocks_constant_label(self):
         problem = build_problem(4, [], 2, range(4))
         blocks = twin_tail_decompose(problem.table, 2)
         assert blocks == ()
-        assert basis_tail_check(problem, blocks) is None
+        assert basis_tail_check(problem) is None
 
     def test_unmatched_extra_block_fails(self):
         # Add a pair with trace {1,2} to the worked example: the singleton
@@ -411,17 +411,8 @@ class TestBasisTail:
         problem = build_problem(10, edges, 2, range(4))
         blocks = twin_tail_decompose(problem.table, 2)
         assert blocks is not None
-        reason = basis_tail_check(problem, blocks, base_vertex=3)
+        reason = basis_tail_check(problem, base_vertex=3)
         assert "wrong parity" in reason
-
-    def test_invalid_blocks_rejected(self):
-        problem, blocks = twin_pair_example()
-        wrong_size = ((0b0001, (4,)), (0b0100, (6, 7)))
-        with pytest.raises(ValueError):
-            basis_tail_check(problem, wrong_size)
-        not_partition = ((0b0001, (4, 5)),)
-        with pytest.raises(ValueError):
-            basis_tail_check(problem, not_partition)
 
 
 class TestCertificateJson:
@@ -501,8 +492,7 @@ class TestRelabelingInvariance:
         for seed in range(6):
             copy = relabeled(problem, random.Random(seed))
             assert all_tail_identity_check(copy) is None
-            blocks = twin_tail_decompose(copy.table, 2)
-            assert basis_tail_check(copy, blocks, base_vertex=copy.graph.ids_of(["4"])[0]) is None
+            assert basis_tail_check(copy, base_vertex=copy.graph.ids_of(["4"])[0]) is None
 
 
 def test_engine_agrees_with_oracle_on_random_instances():

@@ -1,4 +1,5 @@
-"""Differential tests: the one cut predicate against the two checks it replaced.
+"""Differential tests: the one cut predicate against the two checks it
+replaced, and the table-reading basis-tail check against the blocks-based one.
 
 ``_reference_absorb`` keeps the vertex-level ``verify_parity_cut`` and the
 position-level ``_assert_cut_valid``; both read trace masks over core
@@ -6,8 +7,14 @@ positions from the frozen ``_reference_traces``, while the cut predicate
 reads vertex-id masks off the graph and builds no trace table.  On realized problems, relabeled so that core ids
 are not core positions, and arbitrary candidate cuts the new code must give
 the same verdict, the same failure reason, or raise the same exception type.
+It also keeps ``basis_tail_check`` as it took the caller's
+``(mask, members)`` blocks; wherever a twin-tail decomposition exists, the
+check that reads the trace table must give its verdict at every base vertex.
 """
 
+import random
+from collections import Counter
+from itertools import combinations
 from types import SimpleNamespace
 
 from hypothesis import assume, given, settings
@@ -15,10 +22,20 @@ from hypothesis import strategies as st
 
 import _reference_absorb as ref
 import _reference_traces
-from modcert.absorb import ParityCut, _cut_failure, solve_core_correction, verify_parity_cut
+from modcert.absorb import (
+    AbsorptionProblem,
+    ParityCut,
+    _cut_failure,
+    all_tail_identity_check,
+    basis_tail_check,
+    solve_core_correction,
+    twin_tail_decompose,
+    verify_parity_cut,
+)
 from modcert.errors import InternalInvariantError
 from modcert.gf2 import BitVector
-from modcert.graph import mask_of
+from modcert.graph import Graph, bits_of, mask_of
+from modcert.witness import ModularWitness
 from synth import realize_problem
 
 from conftest import relabeled
@@ -69,3 +86,73 @@ def test_cut_predicate_matches_reference_assertion(problem, data):
         expected = str(exc)
     cut_mask = mask_of(core[p] for p in positions)
     assert _cut_failure(problem, cut_mask) == expected
+
+
+def twin_blow_up(rng):
+    """A core U kept as single vertices and a tail of q independent twins per
+    original tail vertex, so every trace multiplicity is a multiple of q.
+
+    Each original's trace has size r modulo q and, for r = 1, U carries a
+    perfect matching, so every vertex has degree r modulo q: the whole
+    vertex set is a q-modular witness.  Edges between tail originals add
+    multiples of q to every degree, and so does a (q + 1)-clique inside U
+    for r = 0; a clique on part of U leaves the bare core short of 2q-modular.
+    """
+    q = rng.choice((2, 4))
+    r = rng.choice((0, 1))
+    m = rng.choice((2, 4, 6)) if r else rng.randrange(1, 7)
+    traces = [rng.sample(range(m), rng.choice(range(r, m + 1, q))) for _ in range(rng.randrange(7))]
+    n = m + len(traces) * q
+
+    def twins(a):
+        return range(m + a * q, m + (a + 1) * q)
+
+    edges = [(u, u + 1) for u in range(0, m, 2)] if r else []
+    if not r and m > q and rng.random() < 0.5:
+        edges += list(combinations(range(q + 1), 2))
+    for a, trace in enumerate(traces):
+        edges += [(x, u) for x in twins(a) for u in trace]
+    for a, b in combinations(range(len(traces)), 2):
+        if rng.random() < 0.3:
+            edges += [(x, y) for x in twins(a) for y in twins(b)]
+    witness = ModularWitness.build(Graph.from_edges(n, edges), range(n), q)
+    return AbsorptionProblem.build(witness, range(m))
+
+
+def test_basis_tail_check_matches_blocks_reference():
+    # Seeded realized problems and twin blow-ups, relabeled so that core ids
+    # are scattered.  Where a decomposition exists, the reference gets its
+    # blocks; where none does, the check gives the first indivisible trace.
+    rng = random.Random(0xB10C)
+    decomposed = Counter()
+    undecomposed = 0
+    reasons = set()
+    while min(decomposed["realized"], decomposed["blow-up"]) < 125 or undecomposed < 100:
+        family = rng.choice(("realized", "blow-up"))
+        if family == "realized":
+            m, q = rng.choice((1, 2, 3, 4, 5)), rng.choice((2, 4))
+            full = (1 << m) - 1
+            masks = rng.sample(range(1, full + 1), k=rng.randrange(0, min(5, full) + 1)) if m > 1 else []
+            problem = realize_problem(m, q, masks, rng.getrandbits(m))
+            if problem is None:
+                continue
+        else:
+            problem = twin_blow_up(rng)
+        problem = relabeled(problem, rng)
+        table, q = problem.table, problem.q
+        blocks = twin_tail_decompose(table, q)
+        if blocks is None:
+            undecomposed += 1
+            first = next(mask for mask in sorted(table.entries) if len(table.entries[mask]) % q)
+            expected = f"multiplicity of trace {tuple(bits_of(first))} is not divisible by q"
+            assert all_tail_identity_check(problem) == expected
+            for u in problem.core:
+                assert basis_tail_check(problem, base_vertex=u) == expected
+            continue
+        decomposed[family] += 1
+        for u in problem.core:
+            got = basis_tail_check(problem, base_vertex=u)
+            assert got == ref.basis_tail_check(problem, blocks, base_vertex=u)
+            reasons.add(got and got.split(" at vertex")[0])
+        assert basis_tail_check(problem) == ref.basis_tail_check(problem, blocks)
+    assert reasons == {None, "singleton-block count", "remaining block traces do not cancel in the quotient"}

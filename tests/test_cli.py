@@ -347,6 +347,10 @@ class TestReservoirCommand:
         assert payload["rng"] == "mt19937"
         assert len(payload["per_trial_failures"]) == 20
 
+    def test_negative_seed_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, ["reservoir", "--m", "3", "--q", "2", "--samples", "64", "--seed", "-1"])
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
 
 class TestLadderBudget:
     def test_unit_constants(self, capsys):
@@ -723,7 +727,8 @@ class TestFormats:
 
 class TestEnvironmentExits:
     """An interrupt and a closed stdout are reported as the signal's exit
-    code, 128 + 2 and 128 + 13, not as invalid input or a defect."""
+    code, 128 + 2 and 128 + 13, not as invalid input or a defect; running
+    out of memory exits 2, with one line, not 3."""
 
     def test_interrupt_exit_130(self, tmp_path, capsys, monkeypatch):
         import modcert.cli
@@ -734,6 +739,27 @@ class TestEnvironmentExits:
         monkeypatch.setattr(modcert.cli, "load_graph", interrupted)
         code, out, err = run_cli(capsys, ["nd", write_graph(tmp_path, cycle(4)), "--json"])
         assert (code, out, err) == (130, "", "interrupted\n")
+
+    def test_out_of_memory_while_loading_exit_two(self, tmp_path, capsys, monkeypatch):
+        import modcert.cli
+
+        def exhausted(stream, fmt):
+            raise MemoryError
+
+        monkeypatch.setattr(modcert.cli, "load_graph", exhausted)
+        code, out, err = run_cli(capsys, ["nd", write_graph(tmp_path, cycle(4)), "--json"])
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
+    def test_out_of_memory_while_solving_exit_two(self, tmp_path, capsys, monkeypatch):
+        import modcert.cli
+
+        def exhausted(problem):
+            raise MemoryError()
+
+        monkeypatch.setattr(modcert.cli, "solve_core_correction", exhausted)
+        problem = DELETION_PROBLEM
+        code, out, err = run_cli(capsys, _absorb_args(write_graph(tmp_path, problem.graph), problem))
+        assert (code, out, err) == (2, "", "error: out of memory\n")
 
     def test_closed_stdout_exit_141(self, tmp_path):
         # About 150 KB of JSON, more than a pipe holds, so the child is still

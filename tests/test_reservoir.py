@@ -36,6 +36,13 @@ class TestSpec:
             ReservoirSpec(core_size=2, q=2, samples=5, trials=1, seed=0,
                           distribution=((0b01, 0.6), (0b10, 0.6)))
 
+    def test_negative_seed_rejected(self):
+        # random.Random seeds from |x|: seed -1's trial 0 would be seed 1's.
+        assert random.Random(-1 << 32).getrandbits(64) == random.Random(1 << 32).getrandbits(64)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            ReservoirSpec(core_size=3, q=2, samples=10, trials=1, seed=-1)
+        assert ReservoirSpec(core_size=3, q=2, samples=10, trials=1, seed=0).seed == 0
+
     def test_repeated_mask_rejected(self):
         # estimate_availability reads the law as a dict, which would keep
         # only the last probability listed for a mask.

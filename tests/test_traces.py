@@ -244,6 +244,33 @@ class TestPairTraceGraph:
         with pytest.raises(ValueError):
             pair_trace_graph(table, 2)
 
+    def test_connectivity_matches_union_find(self):
+        # Random heavy and light pair traces on scattered core ids; a vertex
+        # reached along several heavy pairs at once must still be expanded.
+        rng = random.Random(0xC0DE)
+        outcomes = set()
+        for _ in range(300):
+            core = tuple(sorted(rng.sample(range(40), rng.randrange(2, 8))))
+            pairs = [(a, b) for i, a in enumerate(core) for b in core[i + 1:]]
+            entries = {}
+            for a, b in rng.sample(pairs, k=min(len(pairs), rng.randrange(1, len(core) + 2))):
+                entries[1 << a | 1 << b] = tuple(range(100, 100 + rng.choice((1, 2, 3))))
+            parent = {v: v for v in core}
+
+            def root(v):
+                while parent[v] != v:
+                    v = parent[v]
+                return v
+
+            for mask, realizers in entries.items():
+                if len(realizers) >= 2:
+                    a, b = (v for v in core if mask >> v & 1)
+                    parent[root(a)] = root(b)
+            connected = len({root(v) for v in core}) == 1
+            assert pair_trace_graph(TraceTable(core=core, entries=entries), 2).connected == connected
+            outcomes.add(connected)
+        assert outcomes == {True, False}
+
 
 class TestNeighborhoodDiversity:
     def test_complete_graph_single_class(self):
