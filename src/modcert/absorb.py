@@ -22,9 +22,11 @@ from .errors import InternalInvariantError
 from .gf2 import BitMatrix, Solution, pivot_columns, solve_or_dual
 from .graph import bits_of, check_subset, mask_of
 from .traces import PairTraceView, TraceTable, compute_traces, split_witness
-from .witness import ModularWitness, TopBitLabel, _check_modulus, is_q_modular, quotient_matrix, top_bit_label
+from .witness import ModularWitness, TopBitLabel, _check_modulus, _even_cut, is_q_modular, quotient_matrix, top_bit_label
 
 SCHEMA_VERSION = "modcert-v1"
+# The (trace members, deleted q-tuple) pairs of a deletion, vertex ids sorted.
+_Chosen = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 class _ProblemFields(NamedTuple):
@@ -70,7 +72,7 @@ class DeletionCertificate(NamedTuple):
     q: int
     lift: int
     core: tuple[int, ...]
-    chosen: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    chosen: _Chosen
     residue_achieved: int | None
 
     def deleted_vertices(self) -> tuple[int, ...]:
@@ -89,38 +91,30 @@ class ParityCut(NamedTuple):
 Certificate = Union[DeletionCertificate, ParityCut]
 
 
-class TraceSelection(NamedTuple):
-    masks: tuple[int, ...]
-    deletions: tuple[tuple[int, ...], ...]
-
-
 def trace_class_matrix(table: TraceTable, q: int) -> tuple[list[int], BitMatrix]:
     """Quotient coordinates of the available trace classes, one column per mask."""
     masks = table.available_masks(q)
     return masks, quotient_matrix(masks, table.core)[0]
 
 
-def solve_defect(table: TraceTable, q: int, label_mask: int) -> Union[TraceSelection, int]:
+def solve_defect(table: TraceTable, q: int, label_mask: int) -> Union[_Chosen, int]:
     """Table-level core correction: choose q-tuples or produce a cut.
 
-    ``label_mask`` holds the core vertices labeled 1; a cut is returned as a
-    vertex-id mask.  Works on trace data alone (no graph needed), so it also
-    serves sampled reservoirs.  Deterministic: columns in mask order,
+    ``label_mask`` holds the core vertices labeled 1.  Returns the
+    ``(trace members, q-tuple)`` pairs of a deletion certificate, or a cut as
+    a vertex-id mask.  Works on trace data alone (no graph needed), so it
+    also serves sampled reservoirs.  Deterministic: columns in mask order,
     elimination pivots on the lowest available row, free variables zero, q
-    lowest realizers per chosen trace.  The cut is returned unchecked:
-    ``solve_core_correction`` checks it from the graph.
+    lowest realizers per chosen trace.  Neither is checked here:
+    ``solve_core_correction`` checks both from the graph.
     """
     _check_modulus(q)
     masks, matrix = trace_class_matrix(table, q)
     _, target = quotient_matrix((), table.core, label_mask)
     outcome = solve_or_dual(matrix, target)
     if isinstance(outcome, Solution):
-        chosen = [masks[j] for j in range(len(masks)) if outcome.x.bits >> j & 1]
-        deletions = tuple(table.entries[mask][:q] for mask in chosen)
-        return TraceSelection(masks=tuple(chosen), deletions=deletions)
-    # Row i of the system is core vertex core[i + 1]; core[0] is the base.
-    cut_mask = mask_of(table.core[i + 1] for i in bits_of(outcome.y.bits))
-    return cut_mask | 1 << table.core[0] if cut_mask.bit_count() % 2 else cut_mask
+        return tuple((table.members_of(masks[j]), table.entries[masks[j]][:q]) for j in bits_of(outcome.x.bits))
+    return _even_cut(outcome.y, table.core)
 
 
 def _cut_failure(problem: AbsorptionProblem, cut_mask: int) -> str | None:
@@ -150,19 +144,15 @@ def solve_core_correction(problem: AbsorptionProblem) -> Certificate:
     deleting its q-tuples.
     """
     outcome = solve_defect(problem.table, problem.q, problem.label.mask())
-    if not isinstance(outcome, TraceSelection):
+    if isinstance(outcome, int):
         reason = _cut_failure(problem, outcome)
         if reason is not None:
             raise InternalInvariantError(reason)
         return ParityCut(q=problem.q, lift=problem.lift, core=problem.core, members=tuple(bits_of(outcome)))
-    chosen = tuple(
-        (problem.table.members_of(mask), deletion)
-        for mask, deletion in zip(outcome.masks, outcome.deletions)
-    )
-    cert = DeletionCertificate(q=problem.q, lift=problem.lift, core=problem.core, chosen=chosen,
+    cert = DeletionCertificate(q=problem.q, lift=problem.lift, core=problem.core, chosen=outcome,
                                residue_achieved=None)
-    ok, residue = _deletion_outcome(problem, cert)
-    if not ok:
+    residue = _deletion_outcome(problem, cert)
+    if residue is None:
         raise InternalInvariantError("deletion certificate failed independent verification")
     return cert._replace(residue_achieved=residue)
 
@@ -182,11 +172,12 @@ def check_claims(cert: Certificate, q: int, core, lift: int | None = None) -> No
         raise ValueError("certificate core does not match the problem core")
 
 
-def _deletion_outcome(problem: AbsorptionProblem, cert: DeletionCertificate) -> tuple[bool, int | None]:
+def _deletion_outcome(problem: AbsorptionProblem, cert: DeletionCertificate) -> int | None:
     """Physically delete the cited q-tuples and recheck the mod-2q congruence.
 
-    Fails when a deleted vertex does not realize its declared trace or when a
-    declared residue is not the recomputed one.
+    Returns the core's common residue modulo 2q after the deletion, or None
+    when a deleted vertex does not realize its declared trace, when the core
+    residues differ, or when a declared residue is not the recomputed one.
     """
     check_claims(cert, problem.q, problem.core, problem.lift)
     graph = problem.graph
@@ -209,7 +200,7 @@ def _deletion_outcome(problem: AbsorptionProblem, cert: DeletionCertificate) -> 
             deleted.add(v)
             traces_hold &= (graph.adj_masks[v] & core_mask) == trace
     if not traces_hold:
-        return False, None
+        return None
     retained = problem.witness.members - deleted
     retained_mask = mask_of(retained)
     two_q = 2 * cert.q
@@ -218,17 +209,16 @@ def _deletion_outcome(problem: AbsorptionProblem, cert: DeletionCertificate) -> 
         for u in problem.core
     }
     if len(residues) != 1:
-        return False, None
+        return None
     residue = residues.pop()
     if cert.residue_achieved is not None and cert.residue_achieved != residue:
-        return False, None
-    return True, residue
+        return None
+    return residue
 
 
 def verify_deletion_certificate(problem: AbsorptionProblem, cert: DeletionCertificate) -> bool:
     """Independent recheck: delete the cited vertices, recompute degrees directly."""
-    ok, _ = _deletion_outcome(problem, cert)
-    return ok
+    return _deletion_outcome(problem, cert) is not None
 
 
 def verify_certificate(problem: AbsorptionProblem, cert: Certificate) -> bool:
@@ -294,8 +284,8 @@ def self_layer_check(problem: AbsorptionProblem, cert: DeletionCertificate) -> t
     An empty result means the whole retained set, not just the core, is
     2q-modular.  The certificate must verify first.
     """
-    ok, residue = _deletion_outcome(problem, cert)
-    if not ok:
+    residue = _deletion_outcome(problem, cert)
+    if residue is None:
         raise ValueError("certificate failed verification; self-layer check needs a valid deletion")
     graph = problem.graph
     retained = problem.witness.members - set(cert.deleted_vertices())
@@ -374,7 +364,7 @@ def basis_tail_check(problem: AbsorptionProblem, base_vertex: int | None = None)
     chosen freely, and the conditions depend on it.
     """
     core, q, table = problem.core, problem.q, problem.table
-    u0 = core[0] if base_vertex is None else base_vertex
+    u0 = min(core) if base_vertex is None else base_vertex
     if u0 not in core:
         raise ValueError(f"base vertex {u0} is not in the core")
     reason = _indivisible_trace(table, q)

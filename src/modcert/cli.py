@@ -153,7 +153,7 @@ def _cmd_next_bit(args) -> int:
     table = _core_table(args, graph)
     rho = tail_degrees(table)
     results = []
-    cap = max(rho).bit_length() + 2 if rho else 2
+    cap = max(rho).bit_length() + 2  # split_witness rejects an empty core
     for m in range(cap + 1):
         theta = next_bit_obstruction(rho, m)
         if theta is None:
@@ -313,7 +313,11 @@ def _cmd_verify_cert(args) -> int:
     # command line, is rejected (exit 2) before the graph is read.  Every
     # verdict needs the graph and a valid problem, so exit 1 still comes after.
     with open(args.certificate, "r", encoding="utf-8-sig") as handle:
-        claims = certificate_from_json(json.load(handle))
+        try:
+            payload = json.load(handle)
+        except RecursionError:
+            raise ValueError("certificate JSON is nested too deeply") from None
+    claims = certificate_from_json(payload)
     check_claims(claims, args.q, sorted(set(_names(args.core))))
     graph = _load(args)
     problem = _problem_from_args(args, graph)

@@ -67,9 +67,7 @@ class Graph(_GraphFields):
         edges in a ``_Parsed`` were range-checked by the parser that read
         them; any other edges pass through ``_checked``, which raises
         ``ValueError`` at the first endpoint outside 0..n-1, so the first
-        bad edge raises.  For a ``_Parsed``, the self-loop error is the
-        private ``_SelfLoop``, so that the loader that made the edges can
-        name the line.
+        bad edge raises.
         """
         name_tuple = tuple(names) if names is not None else tuple(str(v) for v in range(n))
         if len(name_tuple) != n:
@@ -78,20 +76,17 @@ class Graph(_GraphFields):
         rows = [bytearray((n + 7) >> 3) for _ in range(n)]
         byte = [v >> 3 for v in range(n)]
         bit = [1 << (v & 7) for v in range(n)]
-        if type(edges) is _Parsed:
-            edges, loop_error = iter(edges.pairs), _SelfLoop
-        else:
-            edges, loop_error = _checked(edges, n), ValueError
+        edges = iter(edges.pairs) if type(edges) is _Parsed else _checked(edges, n)
         for u, v in islice(edges, side * side >> 5):
             if u == v:
-                raise loop_error(f"self-loop at vertex {u}")
+                raise ValueError(f"self-loop at vertex {u}")
             rows[u][byte[v]] |= bit[v]
             rows[v][byte[u]] |= bit[u]
         rest = next(edges, None)
         if rest is not None:
             for u, v in chain((rest,), edges):
                 if u == v:
-                    raise loop_error(f"self-loop at vertex {u}")
+                    raise ValueError(f"self-loop at vertex {u}")
                 rows[u][byte[v]] |= bit[v]
             _symmetrize(rows)
         masks = tuple(int.from_bytes(row, "little") for row in rows)
@@ -131,10 +126,6 @@ class _Parsed(NamedTuple):
     """Edges a parser of this module has range-checked, which :meth:`Graph.from_edges` fills without ``_checked``."""
 
     pairs: Iterable[tuple[int, int]]
-
-
-class _SelfLoop(ValueError):
-    """The self-loop :meth:`Graph.from_edges` met in a ``_Parsed``; its loader names the line."""
 
 
 def _checked(edges: Iterable[tuple[int, int]], n: int) -> Iterator[tuple[int, int]]:
@@ -202,13 +193,12 @@ def _delta_swaps(side: int) -> list[tuple[int, int]]:
     return swaps
 
 
-def _transpose(x: int, side: int, swaps: list[tuple[int, int]] | None = None) -> int:
+def _transpose(x: int, side: int, swaps: list[tuple[int, int]]) -> int:
     """Transpose a side × side bit matrix stored row-major (bit r * side + c).
 
-    ``swaps`` is ``_delta_swaps(side)``; a caller that transposes many tiles
-    builds it once.
+    ``swaps`` is ``_delta_swaps(side)``, built once for many tiles.
     """
-    for delta, mask in _delta_swaps(side) if swaps is None else swaps:
+    for delta, mask in swaps:
         swap = (x ^ x >> delta) & mask
         x ^= swap | swap << delta
     return x
@@ -278,9 +268,12 @@ def _load_edge_list(lines: Iterator[tuple[int, str]], stream: IO[str]) -> Graph:
         chunks = _numbered_chunks(stream, declared_n, lineno + 1)
         try:
             return Graph.from_edges(declared_n, _Parsed(chain.from_iterable(chunks)))
-        except _SelfLoop as exc:
-            # ``chunks`` is paused on the chunk the fill was reading; it
-            # raises the ParseError of that chunk's first bad line.
+        except ValueError as exc:
+            # ``chunks`` is paused where the error arose.  At a canonical
+            # chunk's yield it can only be the fill's self-loop, as the ``ids``
+            # lookup checked every other id, and the chunk raises its first bad
+            # line's ParseError.  A line reader's ParseError (the other yield)
+            # or a decode error (a finished generator) comes straight back.
             chunks.throw(exc)
             raise
     return Graph.from_edges(0, ())
@@ -308,7 +301,7 @@ def _numbered_chunks(stream: IO[str], n: int, lineno: int) -> Iterator[Iterable[
 
     ``lineno`` is the number of the stream's next line.  A canonical chunk is
     converted at once, any other chunk line by line.  A canonical chunk's
-    pairs are not tested for self-loops here: the fill raises ``_SelfLoop``
+    pairs are not tested for self-loops here: the fill raises ``ValueError``
     at one, and the loader throws it back in while this generator is paused
     on the chunk, which is then read line by line for the ParseError.
     """
@@ -324,7 +317,7 @@ def _numbered_chunks(stream: IO[str], n: int, lineno: int) -> Iterator[Iterable[
             pairs = iter(ends)
             try:
                 yield zip(pairs, pairs)
-            except _SelfLoop:
+            except ValueError:
                 for _ in _numbered_edges(enumerate(chunk.split("\n"), start=lineno), n):
                     pass
                 raise

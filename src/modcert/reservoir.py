@@ -93,9 +93,6 @@ class ReservoirSpec(_ReservoirSpecFields):
                 raise ValueError(f"trace probabilities sum to {total!r}, not 1")
         return super().__new__(cls, core_size, q, samples, trials, seed, distribution)
 
-    def to_json_dict(self) -> dict:
-        return self._asdict()
-
 
 # Samples per draw after a trial's first: a draw of byte samples, one 32-bit
 # word each, stays within 256 KiB however many samples a trial takes.
@@ -198,7 +195,7 @@ class AvailabilityReport(NamedTuple):
     def to_json_dict(self) -> dict:
         fields = self._asdict()
         del fields["spec"]
-        return {"spec": self.spec.to_json_dict(), "rng": RNG_ALGORITHM, **fields}
+        return {"spec": self.spec._asdict(), "rng": RNG_ALGORITHM, **fields}
 
 
 def estimate_availability(

@@ -9,7 +9,8 @@ the quotient of GF(2)^U by the constant vectors, whose coordinates relative
 to the lowest core vertex are computed here, by :func:`quotient_matrix`
 alone.  Subsets of the core are bit-masks over vertex ids; the quotient's
 rows are the only place where a core vertex's position in the sorted core
-matters.
+matters, and the lift of a dual functional on those rows back to an even
+cut of the core lives beside them, in ``_even_cut``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple, Union
 
 from .errors import InternalInvariantError
 from .gf2 import BitMatrix, BitVector
-from .graph import Graph, check_subset, induced_degrees, is_regular, mask_of
+from .graph import Graph, bits_of, check_subset, induced_degrees, is_regular, mask_of
 
 
 class ModularityCheck(NamedTuple):
@@ -178,6 +179,17 @@ def quotient_matrix(masks, core, target: int = 0) -> tuple[BitMatrix, BitVector]
     for i, v in enumerate(core[1:]):
         coords |= (target >> v & 1) << i
     return matrix, BitVector(len(core) - 1, coords)
+
+
+def _even_cut(functional: BitVector, core) -> int:
+    """The even part of ``core``, as a vertex-id mask, that ``functional`` on :func:`quotient_matrix`'s rows names.
+
+    Row i is core[i + 1], and each row also counts the base core[0], so the
+    base joins when the rows alone are odd: a mask then meets the cut oddly
+    exactly when ``functional`` is 1 on its coordinates.
+    """
+    cut = mask_of(core[i + 1] for i in bits_of(functional.bits))
+    return cut | 1 << core[0] if cut.bit_count() % 2 else cut
 
 
 def affine_lift_check(witness: ModularWitness, members) -> bool:

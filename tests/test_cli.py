@@ -551,6 +551,22 @@ def test_malformed_certificate_exit_two(tmp_path, capsys, kind, edit, message):
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"a": ' * 3000 + "1" + "}" * 3000],
+                         ids=["array", "object"])
+def test_deeply_nested_certificate_exit_two(tmp_path, capsys, text):
+    # The decoder recurses once per level, so deep nesting is malformed input,
+    # not a defect of the program.
+    problem = path_pair_trace_problem(2)
+    target = write_graph(tmp_path, problem.graph)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["verify-cert", target, "--json", "--certificate", str(cert_path)]
+                             + _certificate_args(problem))
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _popped(key):
     return lambda c: {**c, key: c[key][1:]}
 
@@ -778,6 +794,7 @@ class TestEnvironmentExits:
         finally:
             child.kill()
             child.wait()
+            child.stderr.close()
         assert (code, err) == (141, b"")
 
 

@@ -562,7 +562,7 @@ def _naive_transpose(x: int, side: int) -> int:
 @given(st.sampled_from([8, 16, 32, 64]), st.randoms(use_true_random=False), st.floats(0.0, 1.0))
 def test_tiled_transpose_matches_naive(side, rnd, p):
     x = sum(1 << i for i in range(side * side) if rnd.random() < p)
-    assert graph_module._transpose(x, side) == _naive_transpose(x, side)
+    assert graph_module._transpose(x, side, graph_module._delta_swaps(side)) == _naive_transpose(x, side)
 
 
 @settings(max_examples=40, deadline=None)

@@ -104,6 +104,29 @@ class TestComplementDifference:
         _, true_class = complement_difference(table)
         assert true_class.is_zero()
 
+    def test_two_vertex_core_values(self):
+        # n_{0} = 3 and n_{1} = 1: the orbit's representative is the smaller
+        # mask {0}, so vertex 0 carries 3 - 1 and vertex 1 nothing.
+        table = TraceTable(core=(0, 1), entries={0b01: (2, 3, 4), 0b10: (5,)})
+        vector, cls = complement_difference(table)
+        assert vector == (2, 0)
+        assert cls.is_zero()
+
+    def test_scattered_core_values(self):
+        # Core ids 2, 5, 9.  Orbits {2} | {5, 9}: +2 on vertex 2; {5} | {2, 9}:
+        # +2 on vertex 5; {2, 5} | {9}: 1 - 4 = -3 on vertices 2 and 5.  The
+        # empty and full traces form no orbit.
+        realizers = iter(range(10, 100))
+        counts = {1 << 2: 3, 1 << 5 | 1 << 9: 1, 1 << 5: 2, 1 << 9: 4, 1 << 2 | 1 << 5: 1,
+                  0: 2, 1 << 2 | 1 << 5 | 1 << 9: 1}
+        table = TraceTable(core=(2, 5, 9), entries={
+            mask: tuple(next(realizers) for _ in range(count)) for mask, count in counts.items()
+        })
+        vector, cls = complement_difference(table)
+        assert vector == (-1, -1, 0)
+        # Odd on {2, 5}, which is {9} modulo the whole core: coordinate 1.
+        assert cls == BitVector(2, 0b10)
+
     def test_full_trace_only_is_constant(self):
         g = Graph.from_edges(5, [(4, 0), (4, 1), (4, 2), (4, 3)])
         table = compute_traces(g, range(4), {4})
