@@ -46,7 +46,6 @@ from .witness import (
     ModularWitness,
     Regular,
     TooLarge,
-    TopBitLabel,
     affine_lift_check,
     is_q_modular,
     terminal_check,

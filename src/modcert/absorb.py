@@ -22,7 +22,7 @@ from .errors import InternalInvariantError
 from .gf2 import BitMatrix, Solution, pivot_columns, solve_or_dual
 from .graph import bits_of, check_subset, mask_of
 from .traces import PairTraceView, TraceTable, compute_traces, split_witness
-from .witness import ModularWitness, TopBitLabel, _check_modulus, _even_cut, is_q_modular, quotient_matrix, top_bit_label
+from .witness import ModularWitness, _check_modulus, _even_cut, is_q_modular, quotient_matrix, top_bit_label
 
 SCHEMA_VERSION = "modcert-v1"
 # The (trace members, deleted q-tuple) pairs of a deletion, vertex ids sorted.
@@ -32,14 +32,17 @@ _Chosen = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 class _ProblemFields(NamedTuple):
     witness: ModularWitness
     core: tuple[int, ...]
-    label: TopBitLabel
+    label: int
 
 
 class AbsorptionProblem(_ProblemFields):
     """A witness, a retained core, the top-bit label, and the tail's traces.
 
-    The trace table is built on first use: checking a certificate of either
-    kind reads none of it, so verifying one never groups the tail.
+    The label is the mask of the core vertices labeled 1, and the lift d is
+    the witness residue: an ``int``, since the core is a nonempty subset of
+    the witness.  The trace table is built on first use: checking a
+    certificate of either kind reads none of it, so verifying one never
+    groups the tail.
     """
 
     # No ``__slots__``: the instance ``__dict__`` holds the cached table.
@@ -59,7 +62,7 @@ class AbsorptionProblem(_ProblemFields):
 
     @property
     def lift(self) -> int:
-        return self.label.base_lift
+        return self.witness.residue
 
     @property
     def graph(self):
@@ -127,7 +130,7 @@ def _cut_failure(problem: AbsorptionProblem, cut_mask: int) -> str | None:
     size = cut_mask.bit_count()
     if size == 0 or size % 2:
         return "parity cut must be nonempty and even"
-    if (problem.label.mask() & cut_mask).bit_count() % 2 == 0:
+    if (problem.label & cut_mask).bit_count() % 2 == 0:
         return "parity cut fails to detect the defect"
     adj, core_mask = problem.graph.adj_masks, mask_of(problem.core)
     odd = Counter(adj[v] & core_mask for v in problem.witness.members.difference(problem.core)
@@ -143,7 +146,7 @@ def solve_core_correction(problem: AbsorptionProblem) -> Certificate:
     A cut is rechecked here from the graph, and a deletion by physically
     deleting its q-tuples.
     """
-    outcome = solve_defect(problem.table, problem.q, problem.label.mask())
+    outcome = solve_defect(problem.table, problem.q, problem.label)
     if isinstance(outcome, int):
         reason = _cut_failure(problem, outcome)
         if reason is not None:
@@ -257,7 +260,7 @@ def all_tail_identity_check(problem: AbsorptionProblem) -> str | None:
     for mask, realizers in table.entries.items():
         if len(realizers) // q % 2:
             acc ^= mask
-    if acc ^ problem.label.mask() not in (0, mask_of(problem.core)):
+    if acc ^ problem.label not in (0, mask_of(problem.core)):
         return "block-parity sum of trace classes misses the top-bit defect"
     _check_bare_core(problem, "all-tail identity")
     return None
@@ -370,11 +373,11 @@ def basis_tail_check(problem: AbsorptionProblem, base_vertex: int | None = None)
     reason = _indivisible_trace(table, q)
     if reason is not None:
         return reason
-    labels = problem.label.labels
+    label = problem.label
     odd = {mask for mask, realizers in table.entries.items() if len(realizers) // q % 2}
     singletons = {1 << u for u in core if u != u0}
     for u in core:
-        if u != u0 and ((1 << u) in odd) != (labels[u] != labels[u0]):
+        if u != u0 and ((1 << u) in odd) != ((label >> u & 1) != (label >> u0 & 1)):
             return f"singleton-block count at vertex {u} has the wrong parity"
     remainder_acc = 0
     for mask in odd - singletons:

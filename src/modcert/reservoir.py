@@ -174,6 +174,8 @@ def _failed_trials(spec: ReservoirSpec, basis: tuple[int, ...]) -> Iterator[Coun
                 counts = counts or Counter()
                 counts.update(block)
                 block = block[:0]
+                if min(counts[mask] for mask in basis) >= q:
+                    break
         if counts is None:
             yield Counter(block) if min(map(block.count, basis)) < q else None
             continue

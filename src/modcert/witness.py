@@ -4,10 +4,11 @@ A set is q-modular when all its induced degrees agree modulo q.  Once such a
 set is no larger than its modulus, the induced subgraph is outright regular:
 degrees live in an interval shorter than q, so congruent means equal.  For a
 power-of-two modulus the residue lifts to modulo 2q with one extra bit per
-vertex, the top-bit label; everything downstream manipulates that label in
-the quotient of GF(2)^U by the constant vectors, whose coordinates relative
-to the lowest core vertex are computed here, by :func:`quotient_matrix`
-alone.  Subsets of the core are bit-masks over vertex ids; the quotient's
+vertex, the top-bit label, kept as the mask of the vertices whose bit is 1;
+everything downstream manipulates that label in the quotient of GF(2)^U by
+the constant vectors, whose coordinates relative to the lowest core vertex
+are computed here, by :func:`quotient_matrix` alone.  Subsets of the core
+(traces, the label, cuts) are bit-masks over vertex ids; the quotient's
 rows are the only place where a core vertex's position in the sorted core
 matters, and the lift of a dual functional on those rows back to an even
 cut of the core lives beside them, in ``_even_cut``.
@@ -102,41 +103,28 @@ def terminal_check(witness: ModularWitness) -> TerminalResult:
     return Regular(degree=degree)
 
 
-class TopBitLabel(NamedTuple):
-    """Per-vertex bit lifting degrees from modulo q to modulo 2q.
+def top_bit_label(witness: ModularWitness, members) -> int:
+    """The top-bit label on a subset of the witness: its members labeled 1, as a vertex-id mask.
 
-    For every labeled vertex, deg(v) within the witness is congruent to
-    base_lift + q * labels[v] modulo 2q.
-    """
-
-    base_lift: int
-    q: int
-    labels: dict[int, int]
-
-    def mask(self) -> int:
-        """The labeled vertices whose label is 1, as a vertex-id mask."""
-        return mask_of(v for v, bit in self.labels.items() if bit)
-
-
-def top_bit_label(witness: ModularWitness, members) -> TopBitLabel:
-    """Labels on a subset of the witness, using the canonical lift.
-
-    The lift is the witness residue itself (the smallest nonnegative one).
-    Any other lift differs by q and just flips every label, so quotient
-    classes downstream do not depend on this choice.
+    Member v is labeled 1 when deg(v) within the witness is congruent to
+    d + q modulo 2q rather than to d, where the lift d is the witness
+    residue itself (the smallest nonnegative one).  Any other lift differs
+    by q and just flips every label, so quotient classes downstream do not
+    depend on this choice.
     """
     s = check_subset(witness.graph, members)
     if not s <= witness.members:
         raise ValueError("labeled subset must lie inside the witness")
     d = witness.residue if witness.residue is not None else 0
     adj, inside = witness.graph.adj_masks, mask_of(witness.members)
-    labels = {}
-    for v in sorted(s):
+    label = 0
+    for v in s:
         deg = (adj[v] & inside).bit_count()
-        labels[v] = (deg - d) // witness.q % 2
-        if deg % (2 * witness.q) != (d + witness.q * labels[v]) % (2 * witness.q):
+        bit = (deg - d) // witness.q % 2
+        if deg % (2 * witness.q) != (d + witness.q * bit) % (2 * witness.q):
             raise InternalInvariantError("top-bit label failed its defining congruence")
-    return TopBitLabel(base_lift=d, q=witness.q, labels=labels)
+        label |= bit << v
+    return label
 
 
 def quotient_matrix(masks, core, target: int = 0) -> tuple[BitMatrix, BitVector]:
@@ -212,7 +200,7 @@ def affine_lift_check(witness: ModularWitness, members) -> bool:
     seen: int | None = None
     for v in sorted(s):
         tail_count = (witness.graph.adj_masks[v] & tail_mask).bit_count()
-        value = (tail_count - witness.q * label.labels[v]) % two_q
+        value = (tail_count - witness.q * (label >> v & 1)) % two_q
         if seen is None:
             seen = value
         elif value != seen:

@@ -25,7 +25,7 @@ def verify_parity_cut(problem, members) -> bool:
         raise ValueError("parity cut must be a subset of the core")
     if len(cut_set) % 2:
         return False
-    label_sum = sum(problem.label.labels[u] for u in cut_set) % 2
+    label_sum = sum(problem.label >> u & 1 for u in cut_set) % 2
     if label_sum == 0:
         return False
     table = _reference_traces.compute_traces(problem.graph, core_set, problem.witness.members - core_set)
@@ -58,7 +58,7 @@ def basis_tail_check(problem, blocks, base_vertex=None):
     u0 = core[0] if base_vertex is None else base_vertex
     if u0 not in core:
         raise ValueError(f"base vertex {u0} is not in the core")
-    labels = problem.label.labels
+    label = problem.label
     singleton_counts = dict.fromkeys(core, 0)
     remainder_acc = 0
     for mask, _members in blocks:
@@ -69,7 +69,7 @@ def basis_tail_check(problem, blocks, base_vertex=None):
     for u in core:
         if u == u0:
             continue
-        expected = (labels[u] + labels[u0]) % 2
+        expected = ((label >> u & 1) + (label >> u0 & 1)) % 2
         if singleton_counts[u] % 2 != expected:
             return f"singleton-block count at vertex {u} has the wrong parity"
     if remainder_acc not in (0, mask_of(core)):

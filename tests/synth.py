@@ -67,7 +67,7 @@ def realize_problem(
                 realized = set(problem.table.available_masks(q)) - {0}
                 if realized != set(requested):
                     continue
-                if problem.label.mask() ^ label_bits not in (0, full):
+                if problem.label ^ label_bits not in (0, full):
                     continue
                 return problem
     return None

@@ -413,6 +413,11 @@ class TestBasisTail:
         reason = basis_tail_check(problem, base_vertex=3)
         assert "wrong parity" in reason
 
+    def test_base_vertex_outside_the_core_rejected(self):
+        problem, _ = twin_pair_example()
+        with pytest.raises(ValueError, match="^base vertex 4 is not in the core$"):
+            basis_tail_check(problem, base_vertex=4)
+
 
 class TestCertificateJson:
     def test_deletion_round_trip(self):

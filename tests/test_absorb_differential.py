@@ -78,7 +78,7 @@ def test_cut_predicate_matches_reference_assertion(problem, data):
     chosen = data.draw(st.integers(0, (1 << len(core)) - 1))
     positions = tuple(p for p in range(len(core)) if chosen >> p & 1)
     table = _reference_traces.compute_traces(problem.graph, core, problem.witness.members - set(core))
-    label_bits = BitVector.from_bits(problem.label.labels[v] for v in core)
+    label_bits = BitVector.from_bits(problem.label >> v & 1 for v in core)
     try:
         ref.assert_cut_valid(table, problem.q, label_bits, SimpleNamespace(positions=positions))
         expected = None

@@ -657,6 +657,13 @@ class TestFormats:
         assert code == 2
         assert "line 1: negative vertex count -2" in err
 
+    def test_dimacs_unrecognized_line_exit_two(self, tmp_path, capsys):
+        target = tmp_path / "stray.col"
+        target.write_text("p edge 3 1\ne 1 2\nx 1 2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["parity", str(target), "--format", "dimacs"])
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: unrecognized line 'x 1 2'\n"
+
     def test_nd_invariant_failure_exit_three(self, tmp_path, capsys, monkeypatch):
         import modcert.traces
 

@@ -50,6 +50,8 @@ class TestVectors:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mat_vec(BitMatrix(3, 3, (0b001, 0b010, 0b100)), BitVector(2))
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 rows vs target length 2$"):
+            solve_or_dual(BitMatrix(3, 3, (0b001, 0b010, 0b100)), BitVector(2))
 
     @pytest.mark.parametrize("build", [
         lambda: BitVector(-1),

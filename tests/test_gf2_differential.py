@@ -291,3 +291,5 @@ def test_quotient_matrix_rejects_out_of_range_masks():
         quotient_matrix([0b1000], range(3))
     with pytest.raises(ValueError):
         quotient_matrix([], range(0))
+    with pytest.raises(ValueError, match="^target mask 0x8 has a vertex outside the core$"):
+        quotient_matrix([0b011], range(3), 0b1000)

@@ -69,6 +69,15 @@ class TestLoadGraph:
         with pytest.raises(ParseError):
             parse("p edge 3 1\ne 1 9\n", fmt="dimacs")
 
+    def test_dimacs_unrecognized_line_after_the_problem_line(self):
+        with pytest.raises(ParseError, match="^line 3: unrecognized line 'x 1 2'$") as err:
+            parse("p edge 3 1\ne 1 2\nx 1 2\n", fmt="dimacs")
+        assert err.value.line == 3
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="^unknown graph format 'graphml'$"):
+            parse("0 1\n", fmt="graphml")
+
     def test_name_lookup_round_trip(self):
         g = parse("alpha beta\nbeta gamma\n")
         assert g.ids_of(["gamma", "alpha"]) == [2, 0]

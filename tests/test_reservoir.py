@@ -50,6 +50,21 @@ class TestSpec:
             ReservoirSpec(core_size=2, q=2, samples=5, trials=1, seed=0,
                           distribution=((0b01, 0.25), (0b10, 0.5), (0b01, 0.25)))
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(trials=0), "^trial count must be >= 1, got 0$"),
+        (dict(distribution=((0b100, 1.0),)), "^trace mask 0x4 out of range$"),
+        (dict(distribution=((-1, 0.5), (0b01, 0.5))), "^trace mask -0x1 out of range$"),
+    ])
+    def test_rejected_with_message(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ReservoirSpec(**{"core_size": 2, "q": 2, "samples": 5, "trials": 1, "seed": 0, **fields})
+
+    def test_basis_trace_of_zero_probability_rejected(self):
+        spec = ReservoirSpec(core_size=2, q=2, samples=5, trials=1, seed=0,
+                             distribution=((0b01, 0.5), (0b10, 0.5)))
+        with pytest.raises(ValueError, match=r"^basis traces with zero probability: \[3\]$"):
+            estimate_availability(spec, (0b11,))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_probability_rejected(self, bad):
         # A NaN sum compares false against the 1e-12 tolerance, so it needs its own check.

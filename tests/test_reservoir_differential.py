@@ -158,13 +158,18 @@ def test_user_basis_of_wrong_length_or_outside_the_core_rejected(m, basis, messa
         estimate_availability(ReservoirSpec(core_size=m, q=2, samples=8, trials=2, seed=0), basis)
 
 
-def first_state_decides(spec: ReservoirSpec, trial: int, basis=None) -> bool:
-    """Whether every basis mask reaches q among the trial's first STATE samples,
+def decided_within(spec: ReservoirSpec, trial: int, k: int, basis=None) -> bool:
+    """Whether every basis mask reaches q among the trial's first k samples,
     recounted from the documented stream by the reference."""
     if basis is None:
         basis = [1 << i for i in range(1, spec.core_size)]
-    first = ref._draw_counts(spec._replace(samples=min(spec.samples, STATE)), stream(spec, trial))
-    return all(first[mask] >= spec.q for mask in basis)
+    counts = ref._draw_counts(spec._replace(samples=k), stream(spec, trial))
+    return all(counts[mask] >= spec.q for mask in basis)
+
+
+def first_state_decides(spec: ReservoirSpec, trial: int, basis=None) -> bool:
+    """Whether every basis mask reaches q among the trial's first STATE samples."""
+    return decided_within(spec, trial, min(spec.samples, STATE), basis)
 
 
 @pytest.mark.parametrize("samples", [1, STATE - 1, STATE, STATE + 1, 2003])
@@ -192,20 +197,24 @@ def test_large_q_where_most_trials_fail_matches_reference(m, q, samples):
 
 def assert_draws_the_rest_only_when_undecided(monkeypatch, spec, basis=None):
     """Each trial reseeds once, draws min(N, STATE) samples, and draws the
-    rest, in blocks of at most ``_BLOCK``, only when the first samples leave
-    some basis mask below q; the report equals the reference's."""
+    rest, in blocks of at most ``_BLOCK``, each only while the samples drawn
+    so far leave some basis mask below q; the report equals the reference's.
+    Returns the sample counts drawn per trial."""
     calls = spied_calls(monkeypatch, spec, basis)
     # One generator for the spec, built unseeded and then reseeded per trial.
     assert calls[0] == (None, [], 0)
     n = spec.samples
     first = min(n, STATE)
     m = spec.core_size if spec.distribution == "uniform" else 0
-    undecided = [not first_state_decides(spec, trial, basis) for trial in range(spec.trials)]
     expected = []
-    for trial, more in enumerate(undecided):
+    drawn_per_trial = []
+    for trial in range(spec.trials):
         sizes = [first]
-        if more:
-            sizes += [min(reservoir._BLOCK, n - start) for start in range(first, n, reservoir._BLOCK)]
+        for start in range(first, n, reservoir._BLOCK):
+            if decided_within(spec, trial, start, basis):
+                break
+            sizes.append(min(reservoir._BLOCK, n - start))
+        drawn_per_trial.append(sum(sizes))
         if not m:
             widths = []
         elif m <= 8:
@@ -217,8 +226,9 @@ def assert_draws_the_rest_only_when_undecided(monkeypatch, spec, basis=None):
         expected.append(((spec.seed << 32) + trial, widths, 0 if m else sum(sizes)))
     assert calls[1:] == expected
     if n > STATE:
-        # Trials of both kinds occur.
-        assert 0 < sum(undecided) < spec.trials
+        # Trials of both kinds occur: some draw past their first state.
+        assert 0 < sum(k > first for k in drawn_per_trial) < spec.trials
+    return drawn_per_trial
 
 
 @pytest.mark.parametrize("samples", [STATE - 1, STATE, STATE + 1, 2003])
@@ -237,6 +247,16 @@ def test_trials_past_one_block_draw_the_rest_only_when_undecided(monkeypatch):
     monkeypatch.setattr(reservoir, "_BLOCK", 500)
     spec = ReservoirSpec(core_size=6, q=4, samples=2003, trials=120, seed=9)
     assert_draws_the_rest_only_when_undecided(monkeypatch, spec)
+
+
+@pytest.mark.parametrize("m,q", [(3, 64), (9, 1)])
+def test_trials_stop_drawing_once_every_basis_trace_reaches_q(monkeypatch, m, q):
+    # Each trial that its first state leaves undecided reaches q after a few
+    # blocks of 100 (byte samples: after one), and draws no block after that.
+    monkeypatch.setattr(reservoir, "_BLOCK", 100)
+    spec = ReservoirSpec(core_size=m, q=q, samples=STATE + 2000, trials=20, seed=5)
+    drawn_per_trial = assert_draws_the_rest_only_when_undecided(monkeypatch, spec)
+    assert STATE < max(drawn_per_trial) < spec.samples
 
 
 @pytest.mark.parametrize("samples", [STATE - 1, 2003])

@@ -141,9 +141,11 @@ class TestComplementDifference:
             g = random_graph(11, 0.5, rng)
             core = {0, 3, 8}
             table = compute_traces(g, core, set(range(11)) - core)
-            vector, _ = complement_difference(table)
+            vector, cls = complement_difference(table)
             rho = tail_degrees(table)
             assert len({r - v for r, v in zip(rho, vector)}) == 1
+            # Both routes take the parity class of the oriented differences.
+            assert cls == oriented_orbit_form(table, 0)
 
     def test_non_constant_shift_raises_internal_error(self, monkeypatch):
         real = traces_module.tail_degrees
@@ -151,6 +153,10 @@ class TestComplementDifference:
         table = compute_traces(cancelling_pair_graph(), range(4), {4, 5})
         with pytest.raises(InternalInvariantError, match="not a constant shift"):
             complement_difference(table)
+
+    def test_empty_core_rejected(self):
+        with pytest.raises(ValueError, match="^core must be nonempty$"):
+            complement_difference(TraceTable(core=(), entries={}))
 
 
 class TestNextBitObstruction:
@@ -168,6 +174,14 @@ class TestNextBitObstruction:
 
     def test_not_constant_reported(self):
         assert next_bit_obstruction((0, 1), 1) is None
+
+    @pytest.mark.parametrize("rho, m, message", [
+        ((1, 1), -1, "^bit index must be >= 0, got -1$"),
+        ((), 0, "^tail-count vector must be nonempty$"),
+    ])
+    def test_invalid_arguments_rejected(self, rho, m, message):
+        with pytest.raises(ValueError, match=message):
+            next_bit_obstruction(rho, m)
 
     def test_zero_iff_constant_next_modulus(self):
         rng = random.Random(13)
@@ -191,6 +205,11 @@ class TestOrientedOrbitForm:
     def test_empty_table(self):
         table = compute_traces(cycle(4), range(4), set())
         assert oriented_orbit_form(table, 2) == BitVector(3)
+
+    def test_negative_bit_index_rejected(self):
+        table = compute_traces(cancelling_pair_graph(), range(4), {4, 5})
+        with pytest.raises(ValueError, match="^bit index must be >= 0, got -1$"):
+            oriented_orbit_form(table, -1)
 
     def test_disagreeing_direct_class_raises_internal_error(self, monkeypatch):
         monkeypatch.setattr(traces_module, "next_bit_obstruction", lambda *a, **k: None)
@@ -220,6 +239,7 @@ class TestOrientedOrbitForm:
                     entries[mask] = tuple(range(next_id, next_id + count))
                     next_id += count
             table = TraceTable(core=tuple(range(m)), entries=entries)
+            assert oriented_orbit_form(table, 0) == complement_difference(table)[1]
             for bit in range(3):
                 outcome = oriented_orbit_form(table, bit)
                 if outcome is not None:

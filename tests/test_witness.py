@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modcert.witness as witness_module
-from modcert.absorb import solve_defect, twin_tail_decompose
+from modcert.absorb import AbsorptionProblem, solve_defect, twin_tail_decompose
 from modcert.errors import InternalInvariantError
 from modcert.gf2 import BitVector
-from modcert.graph import induced_degrees
+from modcert.graph import induced_degrees, mask_of
 from modcert.parity import two_modular_part
 from modcert.reservoir import ReservoirSpec
 from modcert.traces import TraceTable, pair_trace_graph
@@ -114,19 +114,18 @@ class TestTopBitLabel:
     def test_defect_free_is_all_zero(self):
         # Degrees equal the residue on the nose, so no top bit is set.
         w = ModularWitness.build(cycle(4), range(4), 4)
-        label = top_bit_label(w, range(4))
-        assert set(label.labels.values()) == {0}
+        assert top_bit_label(w, range(4)) == 0
 
     def test_constant_one_labels(self):
         # All degrees are residue + q: labels all 1, a zero quotient class.
         w = ModularWitness.build(cycle(5), range(5), 2)
         label = top_bit_label(w, range(5))
-        assert set(label.labels.values()) == {1}
-        assert quotient_matrix((), range(5), label.mask())[1].is_zero()
+        assert label == 0b11111
+        assert quotient_matrix((), range(5), label)[1].is_zero()
 
     def test_worked_example_labels(self):
         problem, _ = twin_pair_example()
-        assert [problem.label.labels[v] for v in problem.core] == [1, 0, 1, 0]
+        assert [problem.label >> v & 1 for v in problem.core] == [1, 0, 1, 0]
 
     def test_alternate_lift_flips_labels_same_class(self):
         problem, _ = twin_pair_example()
@@ -152,9 +151,8 @@ class TestTopBitLabel:
         d = w.residue if w.residue is not None else 0
         subsets = [problem.core, w.members, rng.sample(sorted(w.members), len(w.members) // 2)]
         for subset in subsets:
-            label = top_bit_label(w, subset)
-            assert label.labels == {v: (degs[v] - d) // q % 2 for v in sorted(subset)}
-            assert (label.base_lift, label.q) == (d, q)
+            assert top_bit_label(w, subset) == mask_of(v for v in subset if (degs[v] - d) // q % 2)
+            assert AbsorptionProblem.build(w, subset).lift == d
 
     def test_subset_must_be_inside_witness(self):
         w = ModularWitness.build(cycle(4), {0, 1}, 2)
@@ -205,6 +203,11 @@ class TestAffineLiftCheck:
     def test_worked_example_core_lifts(self):
         problem, _ = twin_pair_example()
         assert affine_lift_check(problem.witness, problem.core)
+
+    def test_subset_must_be_inside_witness(self):
+        w = ModularWitness.build(cycle(4), {0, 1}, 2)
+        with pytest.raises(ValueError, match="^subset must lie inside the witness$"):
+            affine_lift_check(w, {0, 3})
 
     def test_agrees_with_direct_check_on_random_instances(self):
         rng = random.Random(99)
