@@ -9,7 +9,7 @@ and d the degree-parity vector; vertices are split by the bit of c.
 from __future__ import annotations
 
 from .errors import InternalInvariantError
-from .gf2 import BitMatrix, BitVector, Solution, mat_vec, solve_or_dual
+from .gf2 import BitMatrix, BitVector, Solution, solve_or_dual
 from .graph import Graph, check_subset, mask_of
 
 
@@ -18,7 +18,8 @@ def parity_partition(graph: Graph) -> tuple[frozenset[int], frozenset[int]]:
 
     Deterministic: the canonical elimination solution (free variables 0) is
     used, and V0 is the part with c_v = 0.  A graph whose degrees are all
-    even therefore comes back as (V, empty).
+    even therefore comes back as (V, empty).  The parts are checked once,
+    from the graph, by ``verify_even_partition`` before they are returned.
     """
     n = graph.n
     parity_bits = 0
@@ -32,11 +33,10 @@ def parity_partition(graph: Graph) -> tuple[frozenset[int], frozenset[int]]:
     if not isinstance(result, Solution):
         # Guaranteed solvable: d lies in the column space of the symmetric L.
         raise InternalInvariantError("mod-2 Laplacian system L c = d is inconsistent")
-    c = result.x
-    if mat_vec(laplacian, c).bits != target.bits:
-        raise InternalInvariantError("solution of L c = d failed re-multiplication")
-    part1 = frozenset(v for v in range(n) if c.bits >> v & 1)
+    part1 = frozenset(v for v in range(n) if result.x.bits >> v & 1)
     part0 = frozenset(range(n)) - part1
+    if not verify_even_partition(graph, part0, part1):
+        raise InternalInvariantError("parity partition failed verification")
     return part0, part1
 
 

@@ -77,10 +77,21 @@ class ReservoirSpec(_ReservoirSpecFields):
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         if distribution != "uniform":
+            try:
+                if isinstance(distribution, str):
+                    raise TypeError
+                # Stored as a tuple of tuples, so that the spec stays hashable.
+                distribution = tuple(map(tuple, distribution))
+            except TypeError:
+                raise ValueError(f'distribution must be "uniform" or (mask, probability) pairs, '
+                                 f"got {distribution!r}") from None
             total = 0.0
             full = (1 << core_size) - 1
             seen = set()
-            for mask, prob in distribution:
+            for pair in distribution:
+                if not (len(pair) == 2 and isinstance(pair[0], int) and isinstance(pair[1], (int, float))):
+                    raise ValueError(f"distribution entry {pair!r} is not an (integer mask, real probability) pair")
+                mask, prob = pair
                 if not 0 <= mask <= full:
                     raise ValueError(f"trace mask {mask:#x} out of range")
                 if mask in seen:

@@ -253,6 +253,19 @@ class TestVerifyParityCut:
         with pytest.raises(ValueError):
             verify_parity_cut(problem, {tail_vertex, problem.core[0]})
 
+    def test_core_vertices_do_not_realize_traces(self):
+        # The 4-cycle 0-1-4-2 plus an isolated 3, core {0, 1, 3}, q = 2.  Trace
+        # {0} has one tail vertex (2), q - 1, meeting Y = {0, 3} oddly, so it is
+        # not available and Y is a cut.  Core vertex 1 sees {0} in the core as
+        # well, but only tail vertices realize a trace: counting it would give
+        # {0} q odd realizers and reject Y.
+        problem = build_problem(5, [(0, 1), (0, 2), (1, 4), (2, 4)], 2, [0, 1, 3])
+        adj, core_mask, cut = problem.graph.adj_masks, 0b1011, 0b1001
+        assert [v for v in (2, 4) if (adj[v] & cut).bit_count() % 2] == [2]
+        assert adj[2] & core_mask == adj[1] & core_mask == 0b0001
+        assert (adj[1] & cut).bit_count() % 2 == 1
+        assert verify_parity_cut(problem, {0, 3})
+
 
 class TestAllTailIdentity:
     def test_worked_example_holds_and_terminates(self):

@@ -74,6 +74,41 @@ class TestParity:
         assert code == 2
         assert "self-loop" in err
 
+    def test_one_check_from_the_graph(self, tmp_path, capsys, monkeypatch):
+        # The parts are checked once, by verify_even_partition; L c = d is not
+        # re-multiplied on top.  Every module binding either name is spied on.
+        import modcert.cli
+        import modcert.gf2
+        import modcert.parity
+
+        calls = {"verify_even_partition": 0, "mat_vec": 0}
+        for module in (modcert.gf2, modcert.parity, modcert.cli):
+            for name in calls:
+                real = getattr(module, name, None)
+                if real is None:
+                    continue
+
+                def spy(*args, real=real, name=name):
+                    calls[name] += 1
+                    return real(*args)
+
+                monkeypatch.setattr(module, name, spy)
+        code, out, err = run_cli(capsys, ["parity", write_graph(tmp_path, complete_bipartite(2, 3)), "--json"])
+        assert code == 0, err
+        assert json.loads(out)["verified"] is True
+        assert calls == {"verify_even_partition": 1, "mat_vec": 0}
+
+    def test_uneven_part_exit_three(self, tmp_path, capsys, monkeypatch):
+        import modcert.parity
+        from modcert.gf2 import BitVector, Solution
+
+        # c = 0 puts both ends of the edge in part0, where each has degree 1.
+        monkeypatch.setattr(modcert.parity, "solve_or_dual",
+                            lambda matrix, target: Solution(BitVector(matrix.cols)))
+        target = write_graph(tmp_path, Graph.from_edges(2, [(0, 1)]))
+        code, out, err = run_cli(capsys, ["parity", target, "--json"])
+        assert (code, out, err) == (3, "", "internal error: parity partition failed verification\n")
+
 
 class TestAbsorb:
     def test_deletion_certificate_exit_zero(self, tmp_path, capsys):
@@ -761,6 +796,20 @@ class TestEnvironmentExits:
 
         monkeypatch.setattr(modcert.cli, "load_graph", interrupted)
         code, out, err = run_cli(capsys, ["nd", write_graph(tmp_path, cycle(4)), "--json"])
+        assert (code, out, err) == (130, "", "interrupted\n")
+
+    def test_interrupt_while_parsing_arguments_exit_130(self, capsys, monkeypatch):
+        import modcert.cli
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(modcert.cli, "build_parser", interrupted)
+        try:
+            code, out, err = run_cli(capsys, ["nd", "graph.txt", "--json"])
+        except KeyboardInterrupt:
+            # Escaping, it would end the whole test session.
+            pytest.fail("the interrupt escaped main")
         assert (code, out, err) == (130, "", "interrupted\n")
 
     def test_out_of_memory_while_loading_exit_two(self, tmp_path, capsys, monkeypatch):

@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+from modcert.errors import InternalInvariantError
+from modcert.gf2 import BitVector, Solution
 from modcert.graph import Graph, induced_degrees, mask_of
 from modcert.parity import parity_partition, two_modular_part, verify_even_partition
 from modcert.witness import is_q_modular
@@ -49,6 +51,15 @@ class TestParityPartition:
             part0, part1 = parity_partition(g)
             assert verify_even_partition(g, part0, part1)
             assert max(len(part0), len(part1)) >= (n + 1) // 2
+
+    def test_uneven_part_is_an_internal_error(self, monkeypatch):
+        import modcert.parity
+
+        # c = 0 puts every vertex in part0, where the path's ends have degree 1.
+        monkeypatch.setattr(modcert.parity, "solve_or_dual",
+                            lambda matrix, target: Solution(BitVector(matrix.cols)))
+        with pytest.raises(InternalInvariantError, match="^parity partition failed verification$"):
+            parity_partition(Graph.from_edges(3, [(0, 1), (1, 2)]))
 
     def test_larger_part_is_two_modular(self):
         rng = random.Random(11)

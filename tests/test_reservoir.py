@@ -72,6 +72,23 @@ class TestSpec:
             ReservoirSpec(core_size=2, q=1, samples=5, trials=2, seed=0,
                           distribution=((1, bad), (2, 0.5)))
 
+    @pytest.mark.parametrize("distribution, message", [
+        ("normal", r"^distribution must be \"uniform\" or \(mask, probability\) pairs, got 'normal'$"),
+        (5, r"^distribution must be \"uniform\" or \(mask, probability\) pairs, got 5$"),
+        ([("a", 1.0)], r"^distribution entry \('a', 1\.0\) is not an \(integer mask, real probability\) pair$"),
+        (((0b01, "1"),), r"^distribution entry \(1, '1'\) is not an \(integer mask, real probability\) pair$"),
+        (((0b01, 0.5, 0.5),), r"^distribution entry \(1, 0\.5, 0\.5\) is not an"),
+    ], ids=["name", "number", "string-mask", "string-probability", "triple"])
+    def test_malformed_distribution_rejected(self, distribution, message):
+        with pytest.raises(ValueError, match=message):
+            ReservoirSpec(core_size=2, q=2, samples=5, trials=1, seed=0, distribution=distribution)
+
+    def test_distribution_stored_as_tuple_of_pairs(self):
+        spec = ReservoirSpec(core_size=2, q=2, samples=5, trials=1, seed=0,
+                             distribution=[[0b01, 0.5], (0b10, 0.5)])
+        assert spec.distribution == ((0b01, 0.5), (0b10, 0.5))
+        assert hash(spec) == hash(spec._replace(distribution=((0b01, 0.5), (0b10, 0.5))))
+
     def test_explicit_distribution_accepted(self):
         spec = ReservoirSpec(core_size=2, q=2, samples=5, trials=1, seed=0,
                              distribution=((0b01, 0.5), (0b10, 0.5)))
