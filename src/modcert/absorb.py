@@ -8,8 +8,9 @@ the quotient modulo constant vectors: columns are the classes of the traces
 with multiplicity at least q, the target is the class of the top-bit label.
 A solution yields a deletion certificate; inconsistency yields an even
 parity cut of the core that meets every available trace evenly but the
-defect oddly.  Each output is checked once, independently of the solve,
-before it is returned.
+defect oddly.  One function, ``_failure``, checks a certificate of either
+kind from the graph alone and names its first false claim; each output is
+checked by it once before it is returned, and ``verify-cert`` runs it too.
 """
 
 from __future__ import annotations
@@ -120,44 +121,27 @@ def solve_defect(table: TraceTable, q: int, label_mask: int) -> Union[_Chosen, i
     return _even_cut(outcome.y, table.core)
 
 
-def _cut_failure(problem: AbsorptionProblem, cut_mask: int) -> str | None:
-    """Why a set of core vertices (a mask) is not a parity cut, or None if it is.
-
-    Read from the graph alone.  Every realizer of a trace meets the cut
-    alike, so "every available trace meets the cut evenly" means that no
-    trace has q tail vertices meeting the cut oddly.
-    """
-    size = cut_mask.bit_count()
-    if size == 0 or size % 2:
-        return "parity cut must be nonempty and even"
-    if (problem.label & cut_mask).bit_count() % 2 == 0:
-        return "parity cut fails to detect the defect"
-    adj, core_mask = problem.graph.adj_masks, mask_of(problem.core)
-    odd = Counter(adj[v] & core_mask for v in problem.witness.members.difference(problem.core)
-                  if (adj[v] & cut_mask).bit_count() % 2)
-    if any(count >= problem.q for count in odd.values()):
-        return "parity cut meets an available trace oddly"
-    return None
-
-
 def solve_core_correction(problem: AbsorptionProblem) -> Certificate:
-    """Emit a deletion certificate or a parity cut, each checked once.
+    """Emit a deletion certificate or a parity cut, checked once by :func:`_failure`.
 
-    A cut is rechecked here from the graph, and a deletion by physically
-    deleting its q-tuples.
+    A deletion states its residue from the algebra: u0, the lowest core
+    vertex, keeps the witness residue d shifted by q once for its label and
+    once for each chosen trace that holds it, so its degree modulo 2q is
+    d + q((label(u0) + k) mod 2); the check recounts every core residue
+    from the graph.
     """
-    outcome = solve_defect(problem.table, problem.q, problem.label)
+    q, core, u0 = problem.q, problem.core, problem.core[0]
+    outcome = solve_defect(problem.table, q, problem.label)
     if isinstance(outcome, int):
-        reason = _cut_failure(problem, outcome)
-        if reason is not None:
-            raise InternalInvariantError(reason)
-        return ParityCut(q=problem.q, lift=problem.lift, core=problem.core, members=tuple(bits_of(outcome)))
-    cert = DeletionCertificate(q=problem.q, lift=problem.lift, core=problem.core, chosen=outcome,
-                               residue_achieved=None)
-    residue = _deletion_outcome(problem, cert)
-    if residue is None:
-        raise InternalInvariantError("deletion certificate failed independent verification")
-    return cert._replace(residue_achieved=residue)
+        cert = ParityCut(q, problem.lift, core, tuple(bits_of(outcome)))
+    else:
+        k = sum(u0 in trace_members for trace_members, _ in outcome)
+        residue = problem.lift + q * (((problem.label >> u0 & 1) + k) % 2)
+        cert = DeletionCertificate(q, problem.lift, core, outcome, residue)
+    reason = _failure(problem, cert)
+    if reason is not None:
+        raise InternalInvariantError(reason)
+    return cert
 
 
 def check_claims(cert: Certificate, q: int, core, lift: int | None = None) -> None:
@@ -175,53 +159,62 @@ def check_claims(cert: Certificate, q: int, core, lift: int | None = None) -> No
         raise ValueError("certificate core does not match the problem core")
 
 
-def _deletion_outcome(problem: AbsorptionProblem, cert: DeletionCertificate) -> int | None:
-    """Physically delete the cited q-tuples and recheck the mod-2q congruence.
+def _failure(problem: AbsorptionProblem, cert: Certificate) -> str | None:
+    """The first false claim of a certificate of either kind, or None when every claim holds.
 
-    Returns the core's common residue modulo 2q after the deletion, or None
-    when a deleted vertex does not realize its declared trace, when the core
-    residues differ, or when a declared residue is not the recomputed one.
+    Read from the graph alone, never from the trace table.  Invalid input
+    raises ValueError before any claim is judged: a q, d or core that is not
+    the problem's, a cut member outside the core, a tuple not of size q, a
+    deleted vertex outside the tail or cited twice.  A cut claims to be
+    nonempty and even, to meet the defect oddly and every available trace
+    evenly; every realizer of a trace meets the cut alike, so the last means
+    that no trace has q tail vertices meeting the cut oddly.  A deletion
+    claims that each deleted vertex realizes its trace, that the core
+    residues modulo 2q agree once the q-tuples are deleted, and that they
+    equal ``residue_achieved`` unless it is None.
     """
     check_claims(cert, problem.q, problem.core, problem.lift)
-    graph = problem.graph
-    core_mask = mask_of(problem.core)
+    q, adj, core_mask = problem.q, problem.graph.adj_masks, mask_of(problem.core)
     tail = problem.witness.members.difference(problem.core)
-    deleted: set[int] = set()
-    traces_hold = True
+    if isinstance(cert, ParityCut):
+        cut = mask_of(check_subset(problem.graph, cert.members))
+        if cut & ~core_mask:
+            raise ValueError("parity cut must be a subset of the core")
+        if cut == 0 or cut.bit_count() % 2:
+            return "parity cut must be nonempty and even"
+        if (problem.label & cut).bit_count() % 2 == 0:
+            return "parity cut fails to detect the defect"
+        odd = Counter(adj[v] & core_mask for v in tail if (adj[v] & cut).bit_count() % 2)
+        if any(count >= q for count in odd.values()):
+            return "parity cut meets an available trace oddly"
+        return None
+    deleted, reason = 0, None
     for trace_members, tuple_members in cert.chosen:
-        if len(tuple_members) != cert.q:
-            raise ValueError(
-                f"trace {trace_members}: expected a q-tuple of size {cert.q}, got {len(tuple_members)}"
-            )
+        if len(tuple_members) != q:
+            raise ValueError(f"trace {trace_members}: expected a q-tuple of size {q}, got {len(tuple_members)}")
         trace = mask_of(trace_members)
-        traces_hold &= trace.bit_count() == len(trace_members)
         for v in tuple_members:
             if v not in tail:
                 raise ValueError(f"deleted vertex {v} is not a tail vertex")
-            if v in deleted:
+            if deleted >> v & 1:
                 raise ValueError(f"deleted vertex {v} cited twice; q-tuples must be disjoint")
-            deleted.add(v)
-            traces_hold &= (graph.adj_masks[v] & core_mask) == trace
-    if not traces_hold:
-        return None
-    retained = problem.witness.members - deleted
-    retained_mask = mask_of(retained)
-    two_q = 2 * cert.q
-    residues = {
-        (graph.adj_masks[u] & retained_mask).bit_count() % two_q
-        for u in problem.core
-    }
+            deleted |= 1 << v
+            if reason is None and (adj[v] & core_mask != trace or trace.bit_count() != len(trace_members)):
+                reason = f"deleted vertex {v} does not realize trace {tuple(trace_members)}"
+    if reason is not None:
+        return reason
+    retained = mask_of(problem.witness.members) & ~deleted
+    residues = {(adj[u] & retained).bit_count() % (2 * q) for u in problem.core}
     if len(residues) != 1:
-        return None
-    residue = residues.pop()
-    if cert.residue_achieved is not None and cert.residue_achieved != residue:
-        return None
-    return residue
+        return "core residues differ after the deletion"
+    if cert.residue_achieved not in (None, *residues):
+        return f"declared residue {cert.residue_achieved} is not {residues.pop()}"
+    return None
 
 
 def verify_deletion_certificate(problem: AbsorptionProblem, cert: DeletionCertificate) -> bool:
-    """Independent recheck: delete the cited vertices, recompute degrees directly."""
-    return _deletion_outcome(problem, cert) is not None
+    """Delete the cited vertices and recount the core degrees from the graph."""
+    return _failure(problem, cert) is None
 
 
 def verify_certificate(problem: AbsorptionProblem, cert: Certificate) -> bool:
@@ -237,11 +230,8 @@ def verify_certificate(problem: AbsorptionProblem, cert: Certificate) -> bool:
 
 
 def verify_parity_cut(problem: AbsorptionProblem, members) -> bool:
-    """Check the three cut conditions directly against the problem data."""
-    cut_set = check_subset(problem.graph, members)
-    if not cut_set <= set(problem.core):
-        raise ValueError("parity cut must be a subset of the core")
-    return _cut_failure(problem, mask_of(cut_set)) is None
+    """Check the three cut conditions of the core vertices ``members`` against the graph."""
+    return _failure(problem, ParityCut(problem.q, problem.lift, problem.core, tuple(members))) is None
 
 
 def all_tail_identity_check(problem: AbsorptionProblem) -> str | None:
@@ -287,18 +277,13 @@ def self_layer_check(problem: AbsorptionProblem, cert: DeletionCertificate) -> t
     An empty result means the whole retained set, not just the core, is
     2q-modular.  The certificate must verify first.
     """
-    residue = _deletion_outcome(problem, cert)
-    if residue is None:
+    if _failure(problem, cert) is not None:
         raise ValueError("certificate failed verification; self-layer check needs a valid deletion")
-    graph = problem.graph
-    retained = problem.witness.members - set(cert.deleted_vertices())
-    retained_mask = mask_of(retained)
-    two_q = 2 * problem.q
-    violating = []
-    for y in sorted(retained - set(problem.core)):
-        if (graph.adj_masks[y] & retained_mask).bit_count() % two_q != residue:
-            violating.append(y)
-    return tuple(violating)
+    adj, two_q = problem.graph.adj_masks, 2 * problem.q
+    retained = mask_of(problem.witness.members) & ~mask_of(cert.deleted_vertices())
+    residue = (adj[problem.core[0]] & retained).bit_count() % two_q
+    tail = retained & ~mask_of(problem.core)
+    return tuple(y for y in bits_of(tail) if (adj[y] & retained).bit_count() % two_q != residue)
 
 
 def rank_rich(table: TraceTable, q: int) -> tuple[bool, tuple[int, ...]]:

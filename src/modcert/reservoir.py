@@ -65,6 +65,10 @@ class ReservoirSpec(_ReservoirSpecFields):
         seed: int,
         distribution: Distribution = "uniform",
     ) -> "ReservoirSpec":
+        for field, value in (("core size", core_size), ("sample count", samples), ("trial count", trials),
+                             ("seed", seed)):
+            if type(value) is not int:
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         if core_size < 1:
             raise ValueError(f"core size must be >= 1, got {core_size}")
         _check_modulus(q)
@@ -234,7 +238,8 @@ def estimate_availability(
         missing = [mask for mask in basis_masks if probs.get(mask, 0.0) <= 0.0]
         if missing:
             raise ValueError(f"basis traces with zero probability: {missing}")
-        p = min(probs[mask] for mask in basis_masks)
+        # A one-vertex core's only basis is empty: no trace can fail, so the bound is 0.
+        p = min((probs[mask] for mask in basis_masks), default=1.0)
     _verify_basis(m, basis_masks)
     failures = 0
     spanning = 0

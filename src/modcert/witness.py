@@ -52,8 +52,8 @@ def is_q_modular(graph: Graph, members, q: int) -> ModularityCheck:
 
 def _check_modulus(q: int) -> None:
     """Raise ValueError unless q is a positive power of two, the modulus of every dyadic step."""
-    if q < 1 or q & (q - 1):
-        raise ValueError(f"q must be a positive power of two, got {q}")
+    if type(q) is not int or q < 1 or q & (q - 1):
+        raise ValueError(f"q must be a positive power of two, got {q!r}")
 
 
 class ModularWitness(NamedTuple):

@@ -5,14 +5,20 @@ label dictionary; ``_assert_cut_valid`` checked a cut given by core
 positions and raised on the first failed condition.  ``basis_tail_check``
 took the twin-tail decomposition as caller-built ``(mask, members)`` blocks,
 checked them against the graph in ``_validate_blocks`` and counted the
-singleton blocks one by one.  They exist only as the oracle for
-``test_absorb_differential.py``; do not edit them to follow changes in
-``modcert``.
+singleton blocks one by one.  ``certificate_holds`` is ``verify_certificate``
+when a certificate's claims were checked by two functions, kept here as
+``cut_failure`` (a cut given as a vertex-id mask, with the reason it fails)
+and ``deletion_outcome`` (the recounted residue, or None).  They exist only
+as the oracle for ``test_absorb_differential.py``; do not edit them to
+follow changes in ``modcert``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import _reference_traces
+from modcert.absorb import DeletionCertificate, check_claims
 from modcert.errors import InternalInvariantError
 from modcert.graph import check_subset, mask_of
 from modcert.witness import is_q_modular
@@ -100,3 +106,65 @@ def _validate_blocks(problem, blocks) -> None:
                 raise ValueError(f"vertex {v} does not have the block's declared trace")
     if seen != tail:
         raise ValueError("blocks must partition the whole tail")
+
+
+def certificate_holds(problem, cert) -> bool:
+    if isinstance(cert, DeletionCertificate):
+        return deletion_outcome(problem, cert) is not None
+    check_claims(cert, problem.q, problem.core, problem.lift)
+    cut_set = check_subset(problem.graph, cert.members)
+    if not cut_set <= set(problem.core):
+        raise ValueError("parity cut must be a subset of the core")
+    return cut_failure(problem, mask_of(cut_set)) is None
+
+
+def cut_failure(problem, cut_mask: int) -> str | None:
+    size = cut_mask.bit_count()
+    if size == 0 or size % 2:
+        return "parity cut must be nonempty and even"
+    if (problem.label & cut_mask).bit_count() % 2 == 0:
+        return "parity cut fails to detect the defect"
+    adj, core_mask = problem.graph.adj_masks, mask_of(problem.core)
+    odd = Counter(adj[v] & core_mask for v in problem.witness.members.difference(problem.core)
+                  if (adj[v] & cut_mask).bit_count() % 2)
+    if any(count >= problem.q for count in odd.values()):
+        return "parity cut meets an available trace oddly"
+    return None
+
+
+def deletion_outcome(problem, cert) -> int | None:
+    check_claims(cert, problem.q, problem.core, problem.lift)
+    graph = problem.graph
+    core_mask = mask_of(problem.core)
+    tail = problem.witness.members.difference(problem.core)
+    deleted: set[int] = set()
+    traces_hold = True
+    for trace_members, tuple_members in cert.chosen:
+        if len(tuple_members) != cert.q:
+            raise ValueError(
+                f"trace {trace_members}: expected a q-tuple of size {cert.q}, got {len(tuple_members)}"
+            )
+        trace = mask_of(trace_members)
+        traces_hold &= trace.bit_count() == len(trace_members)
+        for v in tuple_members:
+            if v not in tail:
+                raise ValueError(f"deleted vertex {v} is not a tail vertex")
+            if v in deleted:
+                raise ValueError(f"deleted vertex {v} cited twice; q-tuples must be disjoint")
+            deleted.add(v)
+            traces_hold &= (graph.adj_masks[v] & core_mask) == trace
+    if not traces_hold:
+        return None
+    retained = problem.witness.members - deleted
+    retained_mask = mask_of(retained)
+    two_q = 2 * cert.q
+    residues = {
+        (graph.adj_masks[u] & retained_mask).bit_count() % two_q
+        for u in problem.core
+    }
+    if len(residues) != 1:
+        return None
+    residue = residues.pop()
+    if cert.residue_achieved is not None and cert.residue_achieved != residue:
+        return None
+    return residue

@@ -1,4 +1,4 @@
-"""Differential tests: the one cut predicate against the two checks it
+"""Differential tests: the one certificate check against the checks it
 replaced, and the table-reading basis-tail check against the blocks-based one.
 
 ``_reference_absorb`` keeps the vertex-level ``verify_parity_cut`` and the
@@ -7,6 +7,10 @@ positions from the frozen ``_reference_traces``, while the cut predicate
 reads vertex-id masks off the graph and builds no trace table.  On realized problems, relabeled so that core ids
 are not core positions, and arbitrary candidate cuts the new code must give
 the same verdict, the same failure reason, or raise the same exception type.
+``_failure`` is also checked against the two functions it merged, which
+``_reference_absorb.certificate_holds`` composes as ``verify_certificate``
+did: on the certificates the engine emits and their mutants it must accept
+exactly what they accept and raise the same ValueError that they raise.
 It also keeps ``basis_tail_check`` as it took the caller's
 ``(mask, members)`` blocks; wherever a twin-tail decomposition exists, the
 check that reads the trace table must give its verdict at every base vertex.
@@ -24,9 +28,13 @@ import _reference_absorb as ref
 import _reference_traces
 from modcert.absorb import (
     AbsorptionProblem,
+    DeletionCertificate,
     ParityCut,
-    _cut_failure,
+    _failure,
     all_tail_identity_check,
+    certificate_from_json,
+    certificate_ids,
+    certificate_to_json,
     basis_tail_check,
     solve_core_correction,
     twin_tail_decompose,
@@ -39,6 +47,7 @@ from modcert.witness import ModularWitness
 from synth import realize_problem
 
 from conftest import relabeled
+from test_certificate_mutations import claim_mutants, cut_mutants, deletion_mutants
 
 
 @st.composite
@@ -84,8 +93,66 @@ def test_cut_predicate_matches_reference_assertion(problem, data):
         expected = None
     except InternalInvariantError as exc:
         expected = str(exc)
-    cut_mask = mask_of(core[p] for p in positions)
-    assert _cut_failure(problem, cut_mask) == expected
+    cut = ParityCut(problem.q, problem.lift, core, tuple(core[p] for p in positions))
+    assert _failure(problem, cut) == expected
+
+
+def library_mutants(problem, cert):
+    """Certificates that no JSON parse yields: a vertex out of range, a trace listing a member twice."""
+    if isinstance(cert, ParityCut):
+        yield cert._replace(members=cert.members + (problem.graph.n,))
+        yield cert._replace(members=(-1,) + cert.members)
+        return
+    for i, (trace, deleted) in enumerate(cert.chosen):
+        chosen = list(cert.chosen)
+        chosen[i] = (trace + trace[:1], deleted)
+        yield cert._replace(chosen=tuple(chosen))
+        chosen[i] = (trace, (-1,) + deleted[1:])
+        yield cert._replace(chosen=tuple(chosen))
+
+
+def test_failure_matches_the_checks_it_merged():
+    rng = random.Random(0xFA11)
+    emitted = Counter()
+    verdicts = Counter()
+    while min(emitted["deletion"], emitted["cut"]) < 40:
+        m, q = rng.choice((1, 2, 3, 4, 5)), rng.choice((2, 4))
+        full = (1 << m) - 1
+        masks = rng.sample(range(1, full + 1), k=rng.randrange(0, min(6, full) + 1)) if m > 1 else []
+        problem = realize_problem(m, q, masks, rng.getrandbits(m))
+        if problem is None:
+            continue
+        problem = relabeled(problem, rng)
+        cert = solve_core_correction(problem)
+        kind = "deletion" if isinstance(cert, DeletionCertificate) else "cut"
+        emitted[kind] += 1
+        if kind == "deletion":
+            # The residue the solve states from the algebra is the one recounted from the graph.
+            assert cert.residue_achieved == ref.deletion_outcome(problem, cert._replace(residue_achieved=None))
+        payload = certificate_to_json(cert, name_of=problem.graph.name_of)
+        more = cut_mutants if kind == "cut" else deletion_mutants
+        certs = [cert, *library_mutants(problem, cert)]
+        for _, mutant in [*claim_mutants(problem, payload), *more(problem, payload, rng)]:
+            try:
+                certs.append(certificate_ids(certificate_from_json(mutant), problem.graph.ids_of))
+            except ValueError:
+                continue
+        for candidate in certs:
+            got = holds(lambda *args: _failure(*args) is None, problem, candidate)
+            assert got == holds(ref.certificate_holds, problem, candidate), candidate
+            verdicts[kind, {True: "accepted", False: "rejected"}.get(got, "raises")] += 1
+            if got is False and isinstance(candidate, ParityCut):
+                assert _failure(problem, candidate) == ref.cut_failure(problem, mask_of(candidate.members))
+    assert all(verdicts[kind, verdict] > 0 for kind in ("deletion", "cut")
+               for verdict in ("accepted", "rejected", "raises"))
+
+
+def holds(check, problem, cert):
+    """Whether ``check`` accepts ``cert``, or the message of the ValueError it raises."""
+    try:
+        return check(problem, cert)
+    except ValueError as exc:
+        return str(exc)
 
 
 def twin_blow_up(rng):

@@ -5,11 +5,15 @@ branches, cores of 2 to 5 vertices, q = 2 and 4) is serialized and mutated
 one step at a time, as ``verify-cert`` would read it.  A mutant either
 raises ValueError (invalid input, exit 2) or gets a verdict, and the
 verdict must be that of a recount that groups the tail from the adjacency
-masks itself: it runs with ``compute_traces``, ``_cut_failure`` and
-``_deletion_outcome`` patched to None.  The recount also says which
-mutants are invalid input: a changed q, d or core, a repeated name, a
-deleted vertex outside the tail or cited twice, a tuple that is not of
-size q, a cut member outside the core.
+masks itself: it runs with ``compute_traces`` and ``_failure`` patched to
+None.  The recount also says which mutants are invalid input: a changed q,
+d or core, a repeated name, a deleted vertex outside the tail or cited
+twice, a tuple that is not of size q, a cut member outside the core.  For a
+rejected mutant it names the first false claim, in ``_failure``'s order and
+words, and ``_failure`` must give that reason: a cut that is empty or odd,
+that misses the defect, that meets an available trace oddly; a deleted
+vertex that does not realize its trace, core residues that differ after
+the deletion, a declared residue that is not the recounted one.
 
 Some mutants are true certificates and must be accepted: a cut with two
 members flipped that still meets every available trace evenly and the
@@ -19,7 +23,7 @@ trace.
 
 import copy
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import modcert.absorb as absorb
 import modcert.traces as traces
@@ -37,6 +41,15 @@ from synth import realize_problem
 from conftest import relabeled
 
 RAISES = "raises"
+# The first words of each reason ``_failure`` gives, in its order.
+REASONS = (
+    "parity cut must be nonempty and even",
+    "parity cut fails to detect the defect",
+    "parity cut meets an available trace oddly",
+    "deleted vertex",
+    "core residues differ after the deletion",
+    "declared residue",
+)
 
 
 def tail_groups(problem) -> dict[int, list[int]]:
@@ -49,8 +62,9 @@ def tail_groups(problem) -> dict[int, list[int]]:
 
 
 def recount(problem, payload):
-    """RAISES when the payload is invalid input for this problem, else
-    whether its claims hold, recounted from the adjacency masks."""
+    """RAISES when the payload is invalid input for this problem, True when
+    its claims hold, else the first false claim, recounted from the
+    adjacency masks."""
     graph, q = problem.graph, problem.q
     ids = {graph.name_of(v): v for v in range(graph.n)}
     if (payload["q"], payload["d"]) != (q, problem.lift):
@@ -65,12 +79,14 @@ def recount(problem, payload):
             return RAISES
         cut = mask_of(ids[name] for name in names)
         if not names or len(names) % 2:
-            return False
+            return REASONS[0]
         # Labels up to a constant flip, which an even cut does not see.
         if sum((adj[u] & witness_mask).bit_count() // q for u in bits_of(cut)) % 2 == 0:
-            return False
-        return all(len(members) < q or (trace & cut).bit_count() % 2 == 0
-                   for trace, members in tail_groups(problem).items())
+            return REASONS[1]
+        groups = tail_groups(problem).items()
+        if any(len(members) >= q and (trace & cut).bit_count() % 2 for trace, members in groups):
+            return REASONS[2]
+        return True
     entries = payload["chosen_traces"]
     if entries is None:
         return RAISES
@@ -84,22 +100,36 @@ def recount(problem, payload):
     if len(set(deleted)) != len(deleted) or not set(deleted) <= tail:
         return RAISES
     for entry in entries:
-        trace = mask_of(ids[name] for name in entry["trace"])
-        if any(adj[ids[name]] & core_mask != trace for name in entry["deleted_vertices"]):
-            return False
+        trace = tuple(sorted(ids[name] for name in entry["trace"]))
+        for v in sorted(ids[name] for name in entry["deleted_vertices"]):
+            if adj[v] & core_mask != mask_of(trace):
+                return f"deleted vertex {v} does not realize trace {trace}"
     retained = witness_mask & ~mask_of(deleted)
     residues = {(adj[u] & retained).bit_count() % (2 * q) for u in core}
     if len(residues) != 1:
-        return False
-    return payload["residue_achieved"] in (None, residues.pop())
+        return REASONS[4]
+    (residue,) = residues
+    claim = payload["residue_achieved"]
+    return True if claim in (None, residue) else f"declared residue {claim} is not {residue}"
 
 
 def verdict(problem, payload):
+    """RAISES, True, or the reason ``_failure`` gives, on which ``verify_certificate`` must agree."""
     try:
         cert = certificate_ids(certificate_from_json(payload), problem.graph.ids_of)
-        return verify_certificate(problem, cert)
+        valid = verify_certificate(problem, cert)
+        reason = absorb._failure(problem, cert)
     except ValueError:
         return RAISES
+    assert valid == (reason is None), reason
+    return True if valid else reason
+
+
+def shown(outcome):
+    """An outcome with a reason shown by its first words, one of REASONS."""
+    if outcome is True or outcome == RAISES:
+        return outcome
+    return next(first for first in REASONS if outcome.startswith(first))
 
 
 def edited(payload, **fields):
@@ -179,6 +209,7 @@ def test_mutants_get_the_recounts_verdict(monkeypatch):
     rng = random.Random(0x3A7E)
     emitted = Counter()
     outcomes = Counter()
+    rejected = defaultdict(set)
     while min(emitted["deletion"], emitted["cut"]) < 50:
         m, q = rng.choice((2, 3, 4, 5)), rng.choice((2, 4))
         masks = rng.sample(range(1, 1 << m), k=rng.randrange(0, min(6, (1 << m) - 1)))
@@ -196,8 +227,7 @@ def test_mutants_get_the_recounts_verdict(monkeypatch):
         else:
             mutants += deletion_mutants(problem, payload, rng)
         with monkeypatch.context() as patch:
-            for module, name in ((traces, "compute_traces"), (absorb, "compute_traces"),
-                                 (absorb, "_deletion_outcome"), (absorb, "_cut_failure")):
+            for module, name in ((traces, "compute_traces"), (absorb, "compute_traces"), (absorb, "_failure")):
                 patch.setattr(module, name, None)
             assert recount(problem, payload) is True
             expected = [recount(problem, mutant) for _, mutant in mutants]
@@ -205,15 +235,23 @@ def test_mutants_get_the_recounts_verdict(monkeypatch):
         for (kind, mutant), want in zip(mutants, expected):
             got = verdict(problem, mutant)
             assert got == want, (kind, mutant)
-            outcomes[kind, got] += 1
+            outcomes[kind, shown(got)] += 1
+            if got not in (True, RAISES):
+                rejected[kind].add(shown(got))
     for kind in ("q", "d", "core", "tail member", "core swap"):
-        assert outcomes[kind, RAISES] > 0 and outcomes[kind, True] == outcomes[kind, False] == 0
+        assert outcomes[kind, RAISES] > 0 and outcomes[kind, True] == 0 and not rejected[kind]
     # Each kind of mutant the verifier accepts is reached, and each accepted
     # one is a true certificate by the recount.  Realizers of one trace are
     # interchangeable, so every same-trace swap is accepted.
     for kind in ("flip two", "same-trace swap", "residue"):
         assert outcomes[kind, True] > 0
-    assert outcomes["same-trace swap", False] == outcomes["same-trace swap", RAISES] == 0
+    assert outcomes["same-trace swap", RAISES] == 0 and not rejected["same-trace swap"]
     for kind in ("flip one", "flip two", "other-trace swap", "trace member", "residue", "kind"):
-        assert outcomes[kind, False] > 0
+        assert rejected[kind]
     assert outcomes["move", RAISES] > 0
+    # A lone flip makes the cut odd, a realizer of another trace misses the
+    # declared one, and a residue claim fails only itself.
+    assert rejected["flip one"] == {REASONS[0]}
+    assert rejected["other-trace swap"] == {"deleted vertex"}
+    assert rejected["residue"] == {"declared residue"}
+    assert set().union(*rejected.values()) == set(REASONS)

@@ -181,16 +181,12 @@ CUT_PROBLEM = realize_problem(4, 2, [0b0011, 0b1100], 0b0001)
 
 
 class TestAbsorbChecksOnce:
-    @pytest.mark.parametrize("problem, expected_code, deletion_checks, cut_checks", [
-        (DELETION_PROBLEM, 0, 1, 0),
-        (CUT_PROBLEM, 1, 0, 1),
-    ])
-    def test_one_check_per_emitted_certificate(self, tmp_path, capsys, monkeypatch,
-                                               problem, expected_code, deletion_checks, cut_checks):
+    @pytest.mark.parametrize("problem, expected_code", [(DELETION_PROBLEM, 0), (CUT_PROBLEM, 1)])
+    def test_one_check_per_emitted_certificate(self, tmp_path, capsys, monkeypatch, problem, expected_code):
         import modcert.absorb
 
-        # The public cut check counts too: the solve must not call it on top.
-        calls = {"_deletion_outcome": 0, "_cut_failure": 0, "verify_parity_cut": 0}
+        # The public checks count too: the solve must not call them on top.
+        calls = {"_failure": 0, "verify_deletion_certificate": 0, "verify_parity_cut": 0}
         for name in calls:
             real = getattr(modcert.absorb, name, None)
             if real is None:
@@ -204,8 +200,7 @@ class TestAbsorbChecksOnce:
         code, out, err = run_cli(capsys, _absorb_args(write_graph(tmp_path, problem.graph), problem))
         assert code == expected_code, err
         assert json.loads(out)["verified"] is True
-        assert calls == {"_deletion_outcome": deletion_checks, "_cut_failure": cut_checks,
-                         "verify_parity_cut": 0}
+        assert calls == {"_failure": 1, "verify_deletion_certificate": 0, "verify_parity_cut": 0}
 
     @pytest.mark.parametrize("problem", [DELETION_PROBLEM, CUT_PROBLEM], ids=["deletion", "cut"])
     @pytest.mark.parametrize("flag", ["--json", None])
@@ -226,7 +221,7 @@ class TestAbsorbChecksOnce:
         assert json.loads(out if flag else out.split("\n", 1)[1])["verified"] is True
 
     @pytest.mark.parametrize("problem, outcome_type, field, message", [
-        (DELETION_PROBLEM, "Solution", "x", "deletion certificate failed independent verification"),
+        (DELETION_PROBLEM, "Solution", "x", "core residues differ after the deletion"),
         (CUT_PROBLEM, "Dual", "y", "parity cut fails to detect the defect"),
     ])
     def test_wrong_solve_exit_three(self, tmp_path, capsys, monkeypatch,
@@ -698,6 +693,13 @@ class TestFormats:
         code, out, err = run_cli(capsys, ["parity", str(target), "--format", "dimacs"])
         assert (code, out) == (2, "")
         assert err == "error: line 3: unrecognized line 'x 1 2'\n"
+
+    @pytest.mark.parametrize("edge", ["e 1", "e 1 2 3"])
+    def test_dimacs_wrong_token_count_exit_two(self, tmp_path, capsys, edge):
+        target = tmp_path / "short.col"
+        target.write_text(f"p edge 3 1\n{edge}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["parity", str(target), "--format", "dimacs"])
+        assert (code, out, err) == (2, "", f"error: line 2: expected 'e u v', got '{edge}'\n")
 
     def test_nd_invariant_failure_exit_three(self, tmp_path, capsys, monkeypatch):
         import modcert.traces

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -58,6 +59,20 @@ class TestSpec:
     def test_rejected_with_message(self, fields, message):
         with pytest.raises(ValueError, match=message):
             ReservoirSpec(**{"core_size": 2, "q": 2, "samples": 5, "trials": 1, "seed": 0, **fields})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("core_size", 2.5, "core size must be an integer, got 2.5"),
+        ("samples", 5.5, "sample count must be an integer, got 5.5"),
+        ("trials", 2.5, "trial count must be an integer, got 2.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("q", 2.0, "q must be a positive power of two, got 2.0"),
+        ("q", True, "q must be a positive power of two, got True"),
+    ])
+    def test_non_integer_field_rejected(self, field, value, message):
+        # Each value once built a spec that failed later with a TypeError.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ReservoirSpec(**{"core_size": 2, "q": 2, "samples": 5, "trials": 2, "seed": 0, field: value})
 
     def test_basis_trace_of_zero_probability_rejected(self):
         spec = ReservoirSpec(core_size=2, q=2, samples=5, trials=1, seed=0,
@@ -174,6 +189,15 @@ class TestEstimateAvailability:
                     assert isinstance(outcome, tuple)
                     assert len(outcome) <= m - 1
             assert covered > 0
+
+    def test_one_vertex_core_with_explicit_distribution(self):
+        # The empty basis is the only one: its least probability is the empty
+        # minimum, 1.0, where the uniform spec reports 0.5, and both bounds are 0.
+        spec = ReservoirSpec(core_size=1, q=2, samples=5, trials=2, seed=0, distribution=((0, 0.5), (1, 0.5)))
+        report = estimate_availability(spec, ())
+        assert (report.min_probability, report.bound, report.failures) == (1.0, 0.0, 0)
+        uniform = estimate_availability(ReservoirSpec(core_size=1, q=2, samples=5, trials=2, seed=0))
+        assert (uniform.min_probability, uniform.bound) == (0.5, 0.0)
 
     def test_explicit_distribution_requires_basis(self):
         spec = ReservoirSpec(core_size=2, q=2, samples=10, trials=2, seed=8,

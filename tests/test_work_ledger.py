@@ -31,8 +31,7 @@ STEPS = (
     ("traces", "compute_traces"),
     ("gf2", "_eliminate"),
     ("witness", "quotient_matrix"),
-    ("absorb", "_deletion_outcome"),
-    ("absorb", "_cut_failure"),
+    ("absorb", "_failure"),
     ("reservoir", "_spans"),
     ("reservoir", "_verify_basis"),
 )
