@@ -3,14 +3,20 @@
 Vectors and matrix rows are bit-packed into Python integers, so row updates
 are single XORs.  One forward elimination, ``_eliminate``, serves every
 caller.  Unpivoted rows wait in buckets keyed by their lowest set bit, and
-the columns go in blocks of ``_BLOCK``; a block touches only the rows in its
-own buckets, the rows with a bit in it.  When those are at least
-``_CUTOVER`` rows, the block runs the Method of Four Russians (as in M4RI;
+the columns go in blocks of ``_BLOCK``.  When at least ``_CUTOVER`` rows
+would take a block, it runs the Method of Four Russians (as in M4RI;
 Albrecht, Bard and Hart, arXiv:0811.1714): it finds the block's pivots,
 tabulates every XOR combination of them by block slice, and clears the block
-from each other row with one lookup and one XOR.  Otherwise it goes column
-by column, pivoting on the lowest-index row of each column's bucket; sparse
-and banded matrices, and every small one, take this path throughout.
+from each other row with one lookup and one XOR.  The rows it clears stay
+together as a group, in index order and with their values, and take the next
+block with the rows of its buckets; their values are kept shifted down to a
+base that follows the blocks every ``_REBASE`` columns, so that block slices
+stay small ints and each XOR is only as wide as the columns left.  A row
+with no bit in a block leaves the group for the bucket of its lowest bit,
+and once fewer than ``_CUTOVER`` rows would take a block, the whole group
+settles into the buckets.  A block with fewer rows goes column by column,
+pivoting on the lowest-index row of each column's bucket; sparse and banded
+matrices, and every small one, take this path throughout.
 Either way a row is only ever combined with pivot rows of lower index, so
 the pivot rows are the greedy lowest-index row basis, and every result
 equals that of Gauss-Jordan elimination with the lowest-index pivot rule.
@@ -27,15 +33,19 @@ reproducible byte for byte.  Dimensions have no upper limit beyond memory.
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
-from operator import and_, not_, rshift, xor
+from bisect import bisect
+from itertools import chain, repeat
+from operator import and_, rshift, xor
 from typing import Iterable, NamedTuple, Sequence, Union
 
 
-# Four Russians block width, and the fewest rows in a block's buckets worth
-# its 2^k table; a block with fewer rows goes column by column.
+# Four Russians block width, and the fewest rows in a block worth its 2^k
+# table; a block with fewer rows goes column by column.
 _BLOCK = 8
 _CUTOVER = 192
+# The group's values are shifted down to the block once it lies this many
+# columns above their base.
+_REBASE = 64
 
 
 def _check_dim(value: int, what: str) -> int:
@@ -134,28 +144,102 @@ def _settle(work: list[int], buckets: list[list[int]], ids: Iterable[int], cols:
         buckets[low if low <= cols else -1].append(i)
 
 
+def _release(
+    work: list[int], buckets: list[list[int]], ids: list[int], vals: list[int], base: int, cols: int
+) -> None:
+    """Write group rows back to ``work`` from their values shifted right by
+    ``base``, and settle them."""
+    for i, v in zip(ids, vals):
+        work[i] = v << base
+    _settle(work, buckets, ids, cols)
+
+
+def _block_step(
+    ids: list[int], vals: list[int], shift: int, mask: int
+) -> tuple[list[tuple[int, int, int]], list[int], list[int], list[int]]:
+    """One Four Russians step on the group, over the bits ``mask << shift`` of its values.
+
+    ``ids`` are the group's rows in index order and ``vals`` their values.
+    The rows are scanned in that order on their block slices, and a row
+    becomes a pivot when its slice is not yet a key of the table of the 2^r
+    XOR combinations of the pivot rows found so far; the table doubles with
+    each pivot.  Every other row is cleared of the block with one lookup and
+    one XOR.  The pivot rows, and the rows with no bit in the block, leave
+    ``ids`` in place.  Returns the pivot rows in echelon form, as (lowest
+    bit in the block, row, value) in scan order; the rows with no bit in the
+    block and their values; and the cleared values of the rows left in
+    ``ids``.
+    """
+    block = mask << shift
+    # Every XOR combination of the pivot rows found so far, keyed by its
+    # slice, the block's bits shifted down to bit 0; the pivot slices are
+    # independent, so each slice in their span has exactly one combination,
+    # and only the zero slice has combination 0.
+    table = {0: 0}
+    chosen = []
+    for pos, r in enumerate(vals):
+        s = (r & block) >> shift
+        if s not in table:
+            chosen.append(pos)
+            table.update(zip(list(map(xor, table, repeat(s))), list(map(xor, table.values(), repeat(r)))))
+            if len(table) > mask:
+                break
+    # Echelon form of the pivot rows, for back-substitution: each is cleared
+    # of the earlier pivot columns and pivots on its lowest bit in the block.
+    echelon: list[tuple[int, int, int]] = []
+    for pos in chosen:
+        r = vals[pos]
+        for bit, _, b in echelon:
+            if r & bit:
+                r ^= b
+        s = r & block
+        echelon.append((s & -s, ids[pos], r))
+    # Slices fit in a byte, so finding the rows with none is a byte search.
+    slices = bytes(map(rshift, map(and_, vals, repeat(block)), repeat(shift)))
+    gone = []
+    pos = slices.find(0)
+    while pos >= 0:
+        gone.append(pos)
+        pos = slices.find(0, pos + 1)
+    left = list(map(ids.__getitem__, gone))
+    left_vals = list(map(vals.__getitem__, gone))
+    cleared = list(map(xor, vals, map(table.__getitem__, slices)))
+    # A pivot row clears to zero, its slice's combination being itself.  Few
+    # rows leave a dense group, and deleting each in place moves the rows
+    # after it, as the bisection that brings a row back does.
+    for pos in sorted(chosen + gone, reverse=True):
+        del ids[pos]
+        del cleared[pos]
+    return echelon, left, left_vals, cleared
+
+
 def _eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], list[tuple[int, int]], list[int]]:
     """Forward elimination of packed rows over their low ``cols`` bits.
 
     Bits at ``cols`` and above ride along unpivoted.  Unpivoted rows wait in
     buckets keyed by their lowest set bit, and the columns go in blocks
-    [j, j + k) of ``_BLOCK``.  A block touches only the rows in its buckets
-    j .. j + k - 1, and every row with a bit in the block is there.
+    [j, j + k) of ``_BLOCK``; buckets j .. j + k - 1 hold every waiting row
+    with a bit in the block.
 
-    Block step, when those buckets hold at least ``_CUTOVER`` rows: their
-    rows are scanned in index order on their block slices ``(row >> j) &
-    mask``.  A row becomes a pivot when its slice is not yet a key of the
-    table of the 2^r XOR combinations of the pivot rows found so far, keyed
-    by slice, and the table doubles with each pivot.  Every other row is
-    cleared of the block with one lookup and one XOR.  The cleared rows go
-    to bucket j + k as a whole, not one by one: their lowest bits are there
-    or further on, and the next block re-buckets those with no bit in it.
-    The pivot rows are stored in echelon form, each pivoting on its lowest
-    bit in the block, for back-substitution.
+    Block steps.  The group is the rows that the last block step cleared and
+    did not pivot on.  They stay together for the next block, in index
+    order and with their values, and their entries of ``work`` are stale
+    until they leave it.  When the group and the block's buckets hold at
+    least ``_CUTOVER`` rows together, the bucket rows join the group, each
+    at its place by bisection, and the group takes one ``_block_step``.  The
+    values are kept shifted right by a base below which they have no bit,
+    and the base moves up to the block once it lies ``_REBASE`` columns
+    behind, so block slices and table keys stay small ints and each XOR is
+    only as wide as the columns left.  A row with no bit in the block leaves
+    the group for the bucket of its lowest bit: a sparse row drops out at
+    the first block it has no bit in.  When fewer than ``_CUTOVER`` rows
+    would take a block, and after the last column, the whole group settles
+    into the buckets.
 
     Bucket steps, for a block with fewer rows: column by column, the pivot
     of column j is the lowest-index row in bucket j, and only that bucket's
-    rows are touched.  A sparse or banded matrix takes this path throughout.
+    rows are touched.  A sparse or banded matrix, and every one with fewer
+    than ``_CUTOVER`` rows, takes this path throughout.
 
     Either way a row is only ever combined with pivot rows of lower index,
     so row i ends as a pivot exactly when it is independent of rows
@@ -172,69 +256,43 @@ def _eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], list[tuple[in
     # row has low == -1 and lands there too.
     buckets: list[list[int]] = [[] for _ in range(cols + 2)]
     _settle(work, buckets, range(len(work)), cols)
-    # Whether bucket j may hold rows whose lowest bit lies further on, moved
-    # there by a block step.  No comprehension in this function: in it, free
-    # variables become cells that every call creates, the many small calls
-    # that never run a block step included.
-    ahead = False
+    # The group's rows and their values shifted right by ``base``: empty
+    # tuples until it forms, so that the many small calls that never run a
+    # block step allocate nothing for it.  No comprehension in this function
+    # either: in it, free variables become cells that every call creates.
+    ids = vals = ()
+    base = 0
     blocks = len(work) >= _CUTOVER
     for j in range(cols):
         if blocks and not j % _BLOCK:
             stop = min(j + _BLOCK, cols)
-            if sum(map(len, buckets[j:stop])) >= _CUTOVER:
-                mask = (1 << (stop - j)) - 1
-                block = sorted(chain.from_iterable(buckets[j:stop]))
+            if len(ids) + sum(map(len, buckets[j:stop])) >= _CUTOVER:
+                if not ids:
+                    base = j
+                    ids = sorted(chain.from_iterable(buckets[j:stop]))
+                    vals = list(map(rshift, map(work.__getitem__, ids), repeat(base)))
+                else:
+                    if j - base >= _REBASE:
+                        vals = list(map(rshift, vals, repeat(j - base)))
+                        base = j
+                    for i in chain.from_iterable(buckets[j:stop]):
+                        pos = bisect(ids, i)
+                        ids.insert(pos, i)
+                        vals.insert(pos, work[i] >> base)
                 # The block's buckets stay empty, so the loop passes over its
                 # other columns.
                 for bucket in buckets[j:stop]:
                     bucket.clear()
-                old = list(map(work.__getitem__, block))
-                slices = list(map(rshift, map(and_, old, repeat(mask << j)), repeat(j)))
-                # Every XOR combination of the pivot rows found so far, keyed
-                # by its slice; the pivot slices are independent, so each
-                # slice in their span has exactly one combination.
-                table = {0: 0}
-                chosen = []
-                for i, r, s in zip(block, old, slices):
-                    if s not in table:
-                        chosen.append(i)
-                        grown = list(map(s.__xor__, table))
-                        table.update(zip(grown, list(map(r.__xor__, table.values()))))
-                        if len(table) > mask:
-                            break
-                # Echelon form of the pivot rows, for back-substitution: each
-                # is cleared of the earlier pivot columns and pivots on its
-                # lowest bit.
-                echelon: list[tuple[int, int, int]] = []
-                for i in chosen:
-                    r = work[i]
-                    for bit, _, b in echelon:
-                        if r & bit:
-                            r ^= b
-                    s = r >> j & mask
-                    echelon.append(((s & -s) << j, i, r))
-                for i, r in zip(block, map(xor, old, map(table.__getitem__, slices))):
-                    work[i] = r
+                echelon, left, left_vals, vals = _block_step(ids, vals, j - base, (1 << (stop - j)) - 1)
                 for bit, p, r in sorted(echelon):
-                    work[p] = r
-                    pivots.append((bit.bit_length() - 1, p))
-                # Rows with no bit in the block were moved on to bucket j by
-                # the block before; the cleared ones move on in their turn.
-                _settle(work, buckets, compress(block, map(not_, slices)), cols)
-                moved = list(compress(block, slices))
-                for p in chosen:
-                    moved.remove(p)
-                if stop < cols:
-                    buckets[stop].extend(moved)
-                    ahead = True
-                else:
-                    _settle(work, buckets, moved, cols)
+                    work[p] = r << base
+                    pivots.append((base + bit.bit_length() - 1, p))
+                _release(work, buckets, left, left_vals, base, cols)
                 continue
-            if ahead:
-                bucket = buckets[j]
-                buckets[j] = []
-                _settle(work, buckets, bucket, cols)
-                ahead = False
+            # Too few rows for a block step: the group settles.
+            if ids:
+                _release(work, buckets, ids, vals, base, cols)
+                ids = ()
         bucket = buckets[j]
         if not bucket:
             continue
@@ -248,6 +306,9 @@ def _eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], list[tuple[in
                 low = (r & -r).bit_length() - 1
                 buckets[low if low <= cols else -1].append(i)
         buckets[j] = []
+    # After the last column, the group settles too.
+    if ids:
+        _release(work, buckets, ids, vals, base, cols)
     return work, pivots, buckets[cols]
 
 

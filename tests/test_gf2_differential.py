@@ -4,14 +4,23 @@
 quotient matrices.  Results must be equal, not merely valid: the same
 ``Solution`` or the same ``Dual``, the same rank and pivot columns, and the
 same quotient matrix for every trace table and reservoir span check.  A
-column block whose buckets hold at least ``_CUTOVER`` rows runs a Four
-Russians block step; one with fewer goes column by column.  ``first_block_rows``
-shows which cases reach a block step, and one test lowers the cut-over so
-that block steps also run on small systems.
+column block that at least ``_CUTOVER`` rows would take runs a Four Russians
+block step; one with fewer goes column by column.  The rows a block step
+clears stay together as a group for the next block, with their values
+shifted down to a base that moves every ``_REBASE`` columns; a row with no
+bit in a block leaves the group, and the whole group settles into the
+buckets once it and the block's buckets hold fewer than ``_CUTOVER`` rows.
+``first_block_rows`` shows which cases reach a block step, and
+``recorded_block_steps`` records the group at each one, so that the tests
+can show that a case reaches the state it is named for: a group alive
+across a rebase or at the last column, rows that leave it or clear to zero
+in it, a group that dissolves partway, and block steps alternating with
+bucket steps under a lowered cut-over.
 """
 
 import random
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 from unittest import mock
 
 import pytest
@@ -24,6 +33,7 @@ from modcert.absorb import trace_class_matrix
 from modcert.gf2 import (
     _BLOCK,
     _CUTOVER,
+    _REBASE,
     BitMatrix,
     BitVector,
     Dual,
@@ -112,6 +122,19 @@ def dense_laplacian(n: int, seed: int) -> tuple[BitMatrix, int]:
     return BitMatrix(n, n, tuple(adj[v] | (parity & (1 << v)) for v in range(n))), parity
 
 
+def dense_head_on_banded_tail(
+    rnd: random.Random, head: int = 2 * _CUTOVER, head_cols: int = 16 * _BLOCK, tail: int = 600
+) -> tuple[tuple[int, ...], int]:
+    """``head`` random rows over the first ``head_cols`` columns, on top of ``tail`` banded rows.
+
+    Tail row t has bits t and t + 1, and bit t + 2 half the time, over
+    ``tail + 2`` columns.  Returns the rows and the column count.
+    """
+    rows = [rnd.getrandbits(head_cols) for _ in range(head)]
+    rows += [(3 | rnd.getrandbits(1) << 2) << t for t in range(tail)]
+    return tuple(rows), tail + 2
+
+
 def first_block_rows(row_bits: Sequence[int], cols: int) -> int:
     """Rows with a bit in the first column block: at least ``_CUTOVER`` of them run a block step."""
     low = (1 << min(_BLOCK, cols)) - 1
@@ -158,8 +181,8 @@ def test_block_sized_systems_match_reference(rows, cols, density, span, seed):
 )
 def test_block_steps_on_small_systems_match_reference(cutover, rows, cols, density, span, seed):
     # With the cut-over lowered, block steps run on small systems and alternate
-    # with bucket steps: rows cleared by one block meet the next block, or the
-    # bucket steps after it, in a bucket short of their lowest bit.
+    # with bucket steps: rows cleared by one block go on to the next in the
+    # group, or settle into the buckets when too few rows would take it.
     rnd = random.Random(seed)
     row_bits = random_rows(span or rows, cols, density, rnd)
     if span:
@@ -167,6 +190,144 @@ def test_block_steps_on_small_systems_match_reference(cutover, rows, cols, densi
     target = BitVector(rows, rnd.getrandbits(rows) if rows else 0)
     with mock.patch.object(gf2, "_CUTOVER", cutover):
         assert_same_elimination(BitMatrix(rows, cols, row_bits), target)
+
+
+@contextmanager
+def recorded_block_steps() -> Iterator[list[tuple[int, int, int, int]]]:
+    """Record each block step run inside: (rows in the group, zero rows among
+    them, rows that leave it for having no bit in the block, pivots)."""
+    steps: list[tuple[int, int, int, int]] = []
+    real = gf2._block_step
+
+    def spy(ids, vals, shift, mask):
+        rows, zeros = len(ids), vals.count(0)
+        out = echelon, left, _, _ = real(ids, vals, shift, mask)
+        steps.append((rows, zeros, len(left), len(echelon)))
+        return out
+
+    with mock.patch.object(gf2, "_block_step", spy):
+        yield steps
+
+
+def test_block_and_bucket_steps_alternate_under_a_lowered_cutover():
+    # Eight rows in the first block, two more from the second on, and eight in
+    # the third: with a cut-over of 6 the first and the third block take block
+    # steps, and the second goes column by column between them.
+    rnd = random.Random(7)
+    k = _BLOCK
+    row_bits = [rnd.getrandbits(k) | 1 for _ in range(k)]
+    row_bits += [(1 | rnd.getrandbits(2 * k - 1) << 1) << k for _ in range(2)]
+    row_bits += [(1 | rnd.getrandbits(k - 1) << 1) << 2 * k for _ in range(k)]
+    matrix = BitMatrix(len(row_bits), 3 * k, tuple(row_bits))
+    with mock.patch.object(gf2, "_CUTOVER", 6):
+        with recorded_block_steps() as steps:
+            full_rank = rank(matrix)
+        assert len(steps) == 2 and full_rank > sum(step[3] for step in steps)
+        for _ in range(10):
+            assert_same_elimination(matrix, BitVector(matrix.rows, rnd.getrandbits(matrix.rows)))
+
+
+@pytest.mark.parametrize("cols", [_REBASE - 1, _REBASE + 1, 2 * _REBASE - 1, 2 * _REBASE + 1, 200])
+@pytest.mark.parametrize("span", [0, 30])
+def test_widths_across_the_rebase_match_reference(cols, span):
+    # Enough rows that a dense group outlives the last column, so its values
+    # are shifted down at every multiple of _REBASE on the way.  A nonzero
+    # ``span`` draws the rows from the span of that many, so rows clear to
+    # zero in the group and most targets are inconsistent.
+    rnd = random.Random(cols + span)
+    rows = cols + _CUTOVER + _BLOCK
+    for density in (0.1, 0.5):
+        row_bits = random_rows(span or rows, cols, density, rnd)
+        if span:
+            row_bits = rows_in_span(row_bits, rows, rnd)
+        matrix = BitMatrix(rows, cols, row_bits)
+        with recorded_block_steps() as steps:
+            pivot_columns(matrix)
+        if span:
+            assert any(zeros for _, zeros, _, _ in steps)
+        elif density == 0.5:
+            assert len(steps) == -(-cols // _BLOCK)
+        assert_same_elimination(matrix, BitVector(rows, rnd.getrandbits(rows)))
+
+
+def test_rows_that_leave_or_clear_to_zero_in_the_group_match_reference():
+    # Rows 0..15, and every fourth row, repeat their first block in their
+    # second.  Rows 0..15 hold the first block's pivots, so each such row
+    # has no bit left in the second block once the first is cleared, and
+    # leaves the group; it comes back, by bisection, at the block of its
+    # lowest bit.  Every fifth row repeats an earlier one, so it clears to
+    # zero in the group at the block where the earlier row is a pivot.
+    rnd = random.Random(5)
+    k = _BLOCK
+    rows, cols = 3 * _CUTOVER, 6 * k
+    row_bits: list[int] = []
+    for i in range(rows):
+        if i >= 16 and i % 5 == 0:
+            row_bits.append(row_bits[rnd.randrange(i)])
+            continue
+        r = rnd.getrandbits(cols)
+        if i < 16 or i % 4 == 0:
+            r = r >> 2 * k << 2 * k | (r & (1 << k) - 1) * ((1 << k) + 1)
+        row_bits.append(r)
+    matrix = BitMatrix(rows, cols, tuple(row_bits))
+    with recorded_block_steps() as steps:
+        pivot_columns(matrix)
+    assert len(steps) == 6
+    assert steps[1][2] >= rows // 8 and any(zeros for _, zeros, _, _ in steps[1:-1])
+    for _ in range(4):
+        assert_same_elimination(matrix, BitVector(rows, rnd.getrandbits(rows)))
+
+
+def test_dense_head_on_banded_tail_matches_reference():
+    rnd = random.Random(11)
+    row_bits, cols = dense_head_on_banded_tail(rnd)
+    matrix = BitMatrix(len(row_bits), cols, row_bits)
+    with recorded_block_steps() as steps:
+        pivot_columns(matrix)
+    # The group dissolves partway through, and bucket steps finish the tail.
+    assert 0 < len(steps) < cols // _BLOCK // 2
+    for _ in range(3):
+        assert_same_elimination(matrix, BitVector(matrix.rows, rnd.getrandbits(matrix.rows)))
+
+
+def test_sparse_tail_never_rides_in_the_group():
+    # The banded tail rows that a head block fills leave the group at the
+    # first block they have no bit in, so block steps stop one block after
+    # the head's columns are pivoted and never touch more than the head and
+    # the tail rows of about two blocks.  Block steps over every unpivoted
+    # row would touch all of the tail in every block.
+    head, head_cols = 2 * _CUTOVER, 16 * _BLOCK
+    row_bits, cols = dense_head_on_banded_tail(random.Random(3), head, head_cols, tail=1500)
+    with recorded_block_steps() as steps:
+        rank(BitMatrix(len(row_bits), cols, row_bits))
+    assert len(steps) <= head_cols // _BLOCK + 1
+    assert max(rows for rows, _, _, _ in steps) <= head + 2 * _BLOCK
+    assert sum(rows for rows, _, _, _ in steps) <= (head_cols // _BLOCK + 1) * (head + 2 * _BLOCK)
+
+
+@pytest.mark.parametrize("cols", [40, 2 * _REBASE + 3])
+def test_inconsistent_system_with_the_group_alive_at_the_last_column_matches_reference(cols):
+    # Rows 0..first-1 are consistent with a random solution, row ``first`` is
+    # not, and random rows follow.  first + 1 rows exceed cols + _CUTOVER, so
+    # the group outlives the last column in both eliminations: the whole
+    # system's and the identity-augmented one on rows 0..first.
+    rnd = random.Random(cols)
+    first = cols + _CUTOVER + 3 * _BLOCK
+    row_bits = random_rows(first + 1 + 60, cols, 0.5, rnd)
+    x = rnd.getrandbits(cols)
+    target_bits = rnd.getrandbits(len(row_bits))
+    for i in range(first + 1):
+        consistent = (row_bits[i] & x).bit_count() & 1
+        target_bits = target_bits & ~(1 << i) | (consistent ^ (i == first)) << i
+    matrix, target = BitMatrix(len(row_bits), cols, row_bits), BitVector(len(row_bits), target_bits)
+    sizes = []
+    real = gf2._eliminate
+    with mock.patch.object(gf2, "_eliminate", lambda rows, c: sizes.append(len(rows)) or real(rows, c)):
+        with recorded_block_steps() as steps:
+            result = solve_or_dual(matrix, target)
+    assert isinstance(result, Dual) and sizes == [len(row_bits), first + 1]
+    assert len(steps) == 2 * -(-cols // _BLOCK)
+    assert_same_elimination(matrix, target)
 
 
 def rank_deficient_blocks(rows: int, rnd: random.Random) -> tuple[int, ...]:
