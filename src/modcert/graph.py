@@ -5,14 +5,20 @@ the original names are kept so reports and certificates can refer back to the
 input.  Adjacency is stored once, as one bit-mask per vertex (bit v of
 ``adj_masks[u]`` is set exactly when uv is an edge).
 :meth:`Graph.from_edges` is the one builder: it
-sets bits in packed byte rows and turns each row into an integer once.  For
-the first N²/32 edges (N is n rounded up to a power of two) it sets both
-directions of each edge; after that only row u's bit v, and once the edges
-run out it closes the rows with A | Aᵀ by a delta-swap bit transpose of
-tiles at most 1024 bits square.  Sparse graphs never reach the switch.  The
+sets bits in packed byte rows and turns each row into an integer once.  Past
+N²/32 edges (N is n rounded up to a power of two) it sets only row u's bit v
+of an edge, and when the edges run out it closes the rows with A | Aᵀ by a
+delta-swap bit transpose of tiles at most 1024 bits square.  The
 parsers stream validated edges into it without building an edge list
 (except a header-less edge list, whose vertex count is known only at the
-end), wrapped in the private ``_Parsed`` so that it skips ``_checked``.
+end), wrapped in the private ``_Parsed`` so that it skips ``_checked``,
+together with an upper bound on how many edges they can yield: a file's
+size over the fewest bytes an edge line takes, or the length of the
+header-less list.  When that bound reaches N²/32 the fill sets one
+direction from the first edge.  Otherwise (a small file, a stream with no
+file behind it, a pipe, edges from any other caller) it sets both
+directions of the first N²/32 edges and switches after them, so a small
+sparse file never pays for the transpose.  The bound only picks the fill order.
 The fill tests every edge for a self-loop.  The parser that reads an edge
 finds malformed lines and ids out of range (and, when it reads line by
 line, self-loops, with their line); ``_checked`` finds endpoints out of
@@ -35,6 +41,7 @@ and line.
 
 from __future__ import annotations
 
+import os
 from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
@@ -68,23 +75,38 @@ class Graph(_GraphFields):
         them; any other edges pass through ``_checked``, which raises
         ``ValueError`` at the first endpoint outside 0..n-1, so the first
         bad edge raises.
+
+        Edges up to the switch, N²/32 (N is n rounded up to a power of
+        two), set both directions; later ones set only row u's bit v, and
+        ``_symmetrize`` then closes the rows.  A ``_Parsed`` whose bound
+        reaches the switch starts the one-direction fill at its first edge.
         """
         name_tuple = tuple(names) if names is not None else tuple(str(v) for v in range(n))
         if len(name_tuple) != n:
             raise ValueError(f"expected {n} names, got {len(name_tuple)}")
         side = 1 << max(n - 1, 0).bit_length()
+        switch = side * side >> 5
         rows = [bytearray((n + 7) >> 3) for _ in range(n)]
         byte = [v >> 3 for v in range(n)]
         bit = [1 << (v & 7) for v in range(n)]
-        edges = iter(edges.pairs) if type(edges) is _Parsed else _checked(edges, n)
-        for u, v in islice(edges, side * side >> 5):
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            rows[u][byte[v]] |= bit[v]
-            rows[v][byte[u]] |= bit[u]
-        rest = next(edges, None)
-        if rest is not None:
-            for u, v in chain((rest,), edges):
+        one_way = False
+        if type(edges) is _Parsed:
+            one_way = edges.bound is not None and edges.bound >= switch
+            edges = iter(edges.pairs)
+        else:
+            edges = _checked(edges, n)
+        if not one_way:
+            for u, v in islice(edges, switch):
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                rows[u][byte[v]] |= bit[v]
+                rows[v][byte[u]] |= bit[u]
+            rest = next(edges, None)
+            if rest is not None:
+                one_way = True
+                edges = chain((rest,), edges)
+        if one_way:
+            for u, v in edges:
                 if u == v:
                     raise ValueError(f"self-loop at vertex {u}")
                 rows[u][byte[v]] |= bit[v]
@@ -123,9 +145,16 @@ _TILE = 1 << 10
 
 
 class _Parsed(NamedTuple):
-    """Edges a parser of this module has range-checked, which :meth:`Graph.from_edges` fills without ``_checked``."""
+    """Edges a parser of this module has range-checked, which :meth:`Graph.from_edges` fills without ``_checked``.
+
+    ``bound`` is meant to be at least the number of pairs (see
+    ``_size_bound``), or None when the parser cannot tell.  It only picks the
+    order of the fill, so a wrong one (a pipe has size 0, and a file may grow
+    while it is read) costs time, never an edge.
+    """
 
     pairs: Iterable[tuple[int, int]]
+    bound: int | None
 
 
 def _checked(edges: Iterable[tuple[int, int]], n: int) -> Iterator[tuple[int, int]]:
@@ -247,7 +276,18 @@ def load_graph(stream: IO[str], fmt: str = "edge-list") -> Graph:
     lines = enumerate(chain([stream.readline().removeprefix("\ufeff")], stream), start=1)
     if fmt == "edge-list":
         return _load_edge_list(lines, stream)
-    return _load_dimacs(lines)
+    return _load_dimacs(lines, stream)
+
+
+def _size_bound(stream: IO[str], line_bytes: int) -> int | None:
+    """The most edge lines of at least ``line_bytes`` bytes, newline included,
+    that ``stream``'s file can hold (the last line may lack its newline), or
+    None when no file is behind it."""
+    try:
+        size = os.fstat(stream.fileno()).st_size
+    except (OSError, ValueError, AttributeError):
+        return None
+    return size // line_bytes + 1
 
 
 def _content_tokens(raw: str) -> list[str]:
@@ -267,7 +307,8 @@ def _load_edge_list(lines: Iterator[tuple[int, str]], stream: IO[str]) -> Graph:
             return _load_named_edges(chain([(lineno, raw)], lines))
         chunks = _numbered_chunks(stream, declared_n, lineno + 1)
         try:
-            return Graph.from_edges(declared_n, _Parsed(chain.from_iterable(chunks)))
+            # Every edge line is at least ``u v`` and a newline.
+            return Graph.from_edges(declared_n, _Parsed(chain.from_iterable(chunks), _size_bound(stream, 4)))
         except ValueError as exc:
             # ``chunks`` is paused where the error arose.  At a canonical
             # chunk's yield it can only be the fill's self-loop, as the ``ids``
@@ -396,10 +437,11 @@ def _load_named_edges(lines: Iterator[tuple[int, str]]) -> Graph:
         if u == v:
             raise ParseError(f"self-loop at vertex {tokens[0]!r}", lineno)
         edges.append((u, v))
-    return Graph.from_edges(len(ids), _Parsed(edges), names=list(ids))
+    return Graph.from_edges(len(ids), _Parsed(edges, len(edges)), names=list(ids))
 
 
-def _load_dimacs(lines: Iterator[tuple[int, str]]) -> Graph:
+def _load_dimacs(lines: Iterator[tuple[int, str]], stream: IO[str]) -> Graph:
+    """A DIMACS graph; ``lines`` numbers the lines of ``stream``."""
     for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -415,7 +457,9 @@ def _load_dimacs(lines: Iterator[tuple[int, str]]) -> Graph:
             if declared_n < 0:
                 raise ParseError(f"negative vertex count {declared_n}", lineno)
             names = [str(v + 1) for v in range(declared_n)]
-            return Graph.from_edges(declared_n, _Parsed(_dimacs_edges(lines, declared_n)), names=names)
+            # Every edge line is at least ``e u v`` and a newline.
+            edges = _Parsed(_dimacs_edges(lines, declared_n), _size_bound(stream, 6))
+            return Graph.from_edges(declared_n, edges, names=names)
         if tokens[0] == "e":
             raise ParseError("edge before problem line", lineno)
         raise ParseError(f"unrecognized line {line!r}", lineno)

@@ -21,10 +21,16 @@ reported.
 (N²/32 edges, N the vertex count rounded up to a power of two), then one
 direction, and closes the rows with A | Aᵀ through a tiled transpose; the
 fill is compared on both sides of the switch and across tile boundaries.
+A parser's bound on its edge count (a real file's size, or the length of a
+header-less list) that reaches the switch starts the one-direction fill at
+the first edge; those tests write real files, and compare them with the same
+text through ``io.StringIO`` and a pipe, which have no size.
 """
 
 import io
+import os
 import random
+import threading
 from itertools import product
 import re
 from unittest import mock
@@ -122,8 +128,13 @@ def test_from_edges_errors_match_reference():
 
 def outcome(loader, text: str):
     """The parsed graph's fields, or the error's type, message and line."""
+    return stream_outcome(loader, io.StringIO(text))
+
+
+def stream_outcome(loader, stream):
+    """``outcome`` for a stream the caller opened."""
     try:
-        g = loader(io.StringIO(text))
+        g = loader(stream)
     except ValueError as exc:
         return ("error", type(exc), str(exc), getattr(exc, "line", None))
     return ("graph", g.n, g.names, g.adj_masks)
@@ -574,3 +585,103 @@ def test_symmetrize_is_a_or_a_transposed(n, tile, rnd):
         graph_module._symmetrize(rows)
     want = [masks[r] | sum(1 << c for c in range(n) if masks[c] >> r & 1) for r in range(n)]
     assert [int.from_bytes(row, "little") for row in rows] == want
+
+
+def closures(monkeypatch) -> list[bool]:
+    """Spy on ``_symmetrize``: one entry per call, whether some row then held
+    a bit below its own index (so an edge was filled in both directions)."""
+    calls = []
+    real = graph_module._symmetrize
+
+    def spy(rows):
+        calls.append(any(int.from_bytes(row, "little") & ((1 << r) - 1) for r, row in enumerate(rows)))
+        real(rows)
+
+    monkeypatch.setattr(graph_module, "_symmetrize", spy)
+    return calls
+
+
+def canonical_gnp_lines(n: int, rnd: random.Random) -> list[str]:
+    """G(n, 1/2) as canonical ``u v`` lines with u < v, in order."""
+    return [f"{u} {v}" for u in range(n) for v in range(u + 1, n) if rnd.random() < 0.5]
+
+
+def file_outcomes(path, text: str, fmt: str = "edge-list"):
+    """The text loaded from a real file, and by the reference from the same text."""
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as handle:
+        new = stream_outcome(lambda stream: load_graph(stream, fmt), handle)
+    return new, outcome(ref.load_edge_list if fmt == "edge-list" else ref.load_dimacs, text)
+
+
+def test_dense_file_fills_one_direction_from_the_first_edge(tmp_path, monkeypatch):
+    """The file's size bounds its edges past the switch (8,192 for n = 300),
+    so no edge is filled in both directions before the closure."""
+    calls = closures(monkeypatch)
+    lines = canonical_gnp_lines(300, random.Random(53))
+    assert len(lines) > _switch(300)
+    new, old = file_outcomes(tmp_path / "g.txt", "n 300\n" + "\n".join(lines) + "\n")
+    assert new == old and new[0] == "graph"
+    assert calls == [False]
+
+
+@pytest.mark.parametrize("index", [6, _switch(300) + 50])
+def test_self_loop_in_a_dense_file_names_its_line(tmp_path, index):
+    """At line 7, and past the switch's edge count: the one-direction fill
+    finds it and the loader reads its chunk again for the line."""
+    lines = ["n 300"] + canonical_gnp_lines(300, random.Random(54))
+    lines[index] = "17 17"
+    new, old = file_outcomes(tmp_path / "g.txt", "\n".join(lines) + "\n")
+    assert new == old == ("error", ParseError, f"line {index + 1}: self-loop at vertex '17'", index + 1)
+
+
+def test_sparse_file_padded_past_the_bound_matches_reference(tmp_path, monkeypatch):
+    """Comment lines lift the bound past the switch while 100 edges stay below it."""
+    calls = closures(monkeypatch)
+    rnd = random.Random(55)
+    body = [f"{u} {v}" for u, v in _random_pairs(300, 100, rnd)]
+    pad = ["# padding, no edge here"] * (_switch(300) // 5)
+    text = "\n".join(["n 300"] + pad + body[:50] + pad + body[50:]) + "\n"
+    assert len(text) // 4 > _switch(300)
+    new, old = file_outcomes(tmp_path / "g.txt", text)
+    assert new == old and new[0] == "graph"
+    assert len(calls) == 1
+
+
+def test_string_pipe_and_file_load_equal(tmp_path, monkeypatch):
+    """Neither a ``StringIO`` nor a pipe has a size, so both keep the switch
+    by edge count; the file goes one direction from its first edge."""
+    calls = closures(monkeypatch)
+    text = "n 300\n" + "\n".join(canonical_gnp_lines(300, random.Random(56))) + "\n"
+    from_string = outcome(load_graph, text)
+    assert calls == [True]
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with open(write_fd, "w", encoding="utf-8") as writer:
+            writer.write(text)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    with open(read_fd, encoding="utf-8") as reader:
+        from_pipe = stream_outcome(load_graph, reader)
+    feeder.join()
+    from_file, old = file_outcomes(tmp_path / "g.txt", text)
+    assert from_string == from_pipe == from_file == old and old[0] == "graph"
+
+
+@pytest.mark.parametrize("m", [10, _switch(40) - 1, _switch(40), _switch(40) + 1, 3 * _switch(40)])
+def test_dimacs_and_header_less_files_match_reference_around_the_switch(tmp_path, monkeypatch, m):
+    """A DIMACS file's bound is its size over 6 bytes, a header-less list's
+    its length, so at m = switch the header-less fill already goes one way."""
+    calls = closures(monkeypatch)
+    switch = _switch(40)
+    pairs = _random_pairs(40, m, random.Random(m))
+    text = "c x\np edge 40 0\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in pairs)
+    new, old = file_outcomes(tmp_path / "g.col", text, "dimacs")
+    assert new == old and new[0] == "graph"
+    assert len(calls) == (len(text) // 6 + 1 >= switch)
+    calls.clear()
+    new, old = file_outcomes(tmp_path / "g.txt", "".join(f"{u} {v}\n" for u, v in pairs))
+    assert new == old and new[0] == "graph"
+    assert len(calls) == (m >= switch)
