@@ -89,12 +89,9 @@ class Graph(_GraphFields):
         rows = [bytearray((n + 7) >> 3) for _ in range(n)]
         byte = [v >> 3 for v in range(n)]
         bit = [1 << (v & 7) for v in range(n)]
-        one_way = False
-        if type(edges) is _Parsed:
-            one_way = edges.bound is not None and edges.bound >= switch
-            edges = iter(edges.pairs)
-        else:
-            edges = _checked(edges, n)
+        parsed = type(edges) is _Parsed
+        one_way = parsed and edges.bound is not None and edges.bound >= switch
+        edges = iter(edges.pairs) if parsed else _checked(edges, n)
         if not one_way:
             for u, v in islice(edges, switch):
                 if u == v:
