@@ -29,7 +29,7 @@ from .absorb import (
 )
 from .errors import InternalInvariantError, ParseError
 from .gf2 import BitMatrix, BitVector, Dual, Solution, mat_vec, rank, solve_or_dual
-from .graph import Graph, induced_degrees, is_regular, load_graph
+from .graph import Graph, induced_degrees, is_q_modular, is_regular, load_graph
 from .parity import parity_partition, two_modular_part, verify_even_partition
 from .reservoir import AvailabilityReport, ReservoirSpec, estimate_availability
 from .traces import (
@@ -47,7 +47,6 @@ from .witness import (
     Regular,
     TooLarge,
     affine_lift_check,
-    is_q_modular,
     terminal_check,
     top_bit_label,
 )

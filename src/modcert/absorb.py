@@ -106,11 +106,11 @@ def solve_defect(table: TraceTable, q: int, label_mask: int) -> Union[_Chosen, i
 
     ``label_mask`` holds the core vertices labeled 1.  Returns the
     ``(trace members, q-tuple)`` pairs of a deletion certificate, or a cut as
-    a vertex-id mask.  Works on trace data alone (no graph needed), so it
-    also serves sampled reservoirs.  Deterministic: columns in mask order,
-    elimination pivots on the lowest available row, free variables zero, q
-    lowest realizers per chosen trace.  Neither is checked here:
-    ``solve_core_correction`` checks both from the graph.
+    a vertex-id mask.  Works on the table and label alone (no graph): the
+    solve inside :func:`solve_core_correction`.  Deterministic: columns in
+    mask order, elimination pivots on the lowest available row, free
+    variables zero, q lowest realizers per chosen trace.  Neither is
+    checked here: ``solve_core_correction`` checks both from the graph.
     """
     _check_modulus(q)
     masks, matrix = trace_class_matrix(table, q)

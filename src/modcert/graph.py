@@ -494,15 +494,38 @@ def induced_degrees(graph: Graph, members: Iterable[int]) -> dict[int, int]:
     return {v: (graph.adj_masks[v] & mask).bit_count() for v in sorted(s)}
 
 
+class ModularityCheck(NamedTuple):
+    modular: bool
+    residue: int | None
+    conflict: tuple[int, int] | None
+
+
+def is_q_modular(graph: Graph, members: Iterable[int], q: int) -> ModularityCheck:
+    """Do all induced degrees on ``members`` agree modulo q?
+
+    Returns the common residue on success, or a witnessing pair of vertices
+    with different residues on failure.  Any q >= 1 is accepted here; the
+    power-of-two restriction applies only to the dyadic machinery.  The one
+    test of agreeing degrees: regularity and even parts ask it too.
+    """
+    if q < 1:
+        raise ValueError(f"modulus must be >= 1, got {q}")
+    degs = induced_degrees(graph, members)
+    if not degs:
+        return ModularityCheck(True, None, None)
+    first_v = next(iter(degs))
+    residue = degs[first_v] % q
+    for v, deg in degs.items():
+        if deg % q != residue:
+            return ModularityCheck(False, None, (first_v, v))
+    return ModularityCheck(True, residue, None)
+
+
 def is_regular(graph: Graph, members: Iterable[int]) -> tuple[bool, int | None]:
     """Whether the induced subgraph is regular, and its degree when it is.
 
-    The empty set is vacuously regular with no reported degree.
+    No induced degree reaches n, so degrees that agree modulo n + 1 are
+    equal.  The empty set is vacuously regular with no reported degree.
     """
-    degs = induced_degrees(graph, members)
-    if not degs:
-        return True, None
-    values = set(degs.values())
-    if len(values) == 1:
-        return True, values.pop()
-    return False, None
+    check = is_q_modular(graph, members, graph.n + 1)
+    return check.modular, check.residue

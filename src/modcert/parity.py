@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .gf2 import BitMatrix, BitVector, Solution, solve_or_dual
-from .graph import Graph, check_subset, mask_of
+from .graph import Graph, check_subset, is_q_modular
 
 
 def parity_partition(graph: Graph) -> tuple[frozenset[int], frozenset[int]]:
@@ -41,17 +41,14 @@ def parity_partition(graph: Graph) -> tuple[frozenset[int], frozenset[int]]:
 
 
 def verify_even_partition(graph: Graph, part0, part1) -> bool:
-    """Independent check that both parts induce only even degrees."""
+    """Independent check that both parts are 2-modular with residue 0: all induced degrees even."""
     s0 = check_subset(graph, part0)
     s1 = check_subset(graph, part1)
     if s0 & s1 or len(s0) + len(s1) != graph.n:
         raise ValueError("parts do not partition the vertex set")
-    for part in (s0, s1):
-        mask = mask_of(part)
-        for v in part:
-            if (graph.adj_masks[v] & mask).bit_count() & 1:
-                return False
-    return True
+    checks = (is_q_modular(graph, part, 2) for part in (s0, s1))
+    # Residue 0, or None for an empty part.
+    return all(check.modular and not check.residue for check in checks)
 
 
 def two_modular_part(graph: Graph) -> frozenset[int]:

@@ -171,7 +171,10 @@ def _failed_trials(spec: ReservoirSpec, basis: tuple[int, ...]) -> Iterator[Coun
     first = min(n, _STATE_WORDS)
     rng = random.Random()
     reseed, draw_first = rng.seed, _drawer(spec, rng, first)
-    draw_rest = [_drawer(spec, rng, min(_BLOCK, n - start)) for start in range(first, n, _BLOCK)]
+    # Two drawers serve the rest of N however large it is: whole blocks, then the last one.
+    starts = range(first, n, _BLOCK)
+    draw_block = _drawer(spec, rng, _BLOCK)
+    draw_last = _drawer(spec, rng, n - starts[-1]) if starts else draw_block
     base = spec.seed << 32
     for trial in range(spec.trials):
         reseed(base + trial)
@@ -183,8 +186,8 @@ def _failed_trials(spec: ReservoirSpec, basis: tuple[int, ...]) -> Iterator[Coun
         # Byte samples wait in ``block``, up to _BLOCK of them, because
         # bytes.count tests the basis far faster than a Counter counts them.
         counts = None
-        for draw in draw_rest:
-            block += draw()
+        for start in starts:
+            block += (draw_block if n - start > _BLOCK else draw_last)()
             if len(block) >= _BLOCK or not isinstance(block, bytes):
                 counts = counts or Counter()
                 counts.update(block)

@@ -20,34 +20,7 @@ from typing import NamedTuple, Union
 
 from .errors import InternalInvariantError
 from .gf2 import BitMatrix, BitVector
-from .graph import Graph, bits_of, check_subset, induced_degrees, is_regular, mask_of
-
-
-class ModularityCheck(NamedTuple):
-    modular: bool
-    residue: int | None
-    conflict: tuple[int, int] | None
-
-
-def is_q_modular(graph: Graph, members, q: int) -> ModularityCheck:
-    """Do all induced degrees on ``members`` agree modulo q?
-
-    Returns the common residue on success, or a witnessing pair of vertices
-    with different residues on failure.  Any q >= 1 is accepted here; the
-    power-of-two restriction applies only to the dyadic machinery.
-    """
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
-    degs = induced_degrees(graph, members)
-    if not degs:
-        return ModularityCheck(True, None, None)
-    items = sorted(degs.items())
-    first_v, first_deg = items[0]
-    residue = first_deg % q
-    for v, deg in items[1:]:
-        if deg % q != residue:
-            return ModularityCheck(False, None, (first_v, v))
-    return ModularityCheck(True, residue, None)
+from .graph import Graph, bits_of, check_subset, is_q_modular, is_regular, mask_of
 
 
 def _check_modulus(q: int) -> None:

@@ -1,8 +1,9 @@
-"""Frozen reference copies of the graph builder, parsers and twin classes.
+"""Frozen reference copies of the graph builder, parsers, twin classes and degree checks.
 
 These are the implementations that kept adjacency twice (bit-masks plus
-sorted neighbor tuples), materialized every edge list before building, and
-found twin classes by pairwise comparison.  They exist only as the oracle for
+sorted neighbor tuples), materialized every edge list before building,
+found twin classes by pairwise comparison, and tested regularity and an
+even partition each with its own degree loop.  They exist only as the oracle for
 the differential tests in ``test_graph_differential.py``; do not edit them to
 follow changes in ``modcert``.
 """
@@ -176,3 +177,45 @@ def neighborhood_diversity(graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
             if len(across) > 1:
                 raise AssertionError("distinct twin classes must be joined completely or not at all")
     return len(result), result
+
+
+def _check_subset(graph, members: Iterable[int]) -> frozenset[int]:
+    s = frozenset(members)
+    for v in s:
+        if not (0 <= v < graph.n):
+            raise ValueError(f"vertex {v} out of range for n={graph.n}")
+    return s
+
+
+def _mask_of(members: Iterable[int]) -> int:
+    out = 0
+    for v in members:
+        out |= 1 << v
+    return out
+
+
+def is_regular(graph, members: Iterable[int]) -> tuple[bool, int | None]:
+    """Whether the induced subgraph is regular, by the set of its degree values."""
+    s = _check_subset(graph, members)
+    mask = _mask_of(s)
+    degs = {v: (graph.adj_masks[v] & mask).bit_count() for v in sorted(s)}
+    if not degs:
+        return True, None
+    values = set(degs.values())
+    if len(values) == 1:
+        return True, values.pop()
+    return False, None
+
+
+def verify_even_partition(graph, part0, part1) -> bool:
+    """Both parts partition the vertices and induce only even degrees."""
+    s0 = _check_subset(graph, part0)
+    s1 = _check_subset(graph, part1)
+    if s0 & s1 or len(s0) + len(s1) != graph.n:
+        raise ValueError("parts do not partition the vertex set")
+    for part in (s0, s1):
+        mask = _mask_of(part)
+        for v in part:
+            if (graph.adj_masks[v] & mask).bit_count() & 1:
+                return False
+    return True

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modcert.graph as graph_module
 from modcert.errors import ParseError
 from modcert.graph import Graph, induced_degrees, is_regular, load_graph
 
@@ -157,6 +158,18 @@ class TestIsRegular:
 
     def test_empty_set_vacuous(self):
         assert is_regular(path(3), set()) == (True, None)
+
+    def test_asks_the_q_modularity_test_once_at_modulus_n_plus_one(self, monkeypatch):
+        calls = []
+        real = graph_module.is_q_modular
+
+        def spy(graph, members, q):
+            calls.append(q)
+            return real(graph, members, q)
+
+        monkeypatch.setattr(graph_module, "is_q_modular", spy)
+        assert is_regular(cycle(5), iter(range(5))) == (True, 2)
+        assert calls == [6]
 
 
 @settings(max_examples=60)

@@ -42,7 +42,8 @@ from hypothesis import strategies as st
 import _reference_graph as ref
 import modcert.graph as graph_module
 from modcert.errors import ParseError
-from modcert.graph import Graph, load_graph
+from modcert.graph import Graph, is_regular, load_graph
+from modcert.parity import parity_partition, verify_even_partition
 from modcert.traces import neighborhood_diversity
 
 
@@ -685,3 +686,53 @@ def test_dimacs_and_header_less_files_match_reference_around_the_switch(tmp_path
     new, old = file_outcomes(tmp_path / "g.txt", "".join(f"{u} {v}\n" for u, v in pairs))
     assert new == old and new[0] == "graph"
     assert len(calls) == (m >= switch)
+
+
+def value_or_error(check, *args):
+    """What a degree check returns, or the type and message of its ValueError."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 40), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+def test_regularity_matches_reference(n, p, rnd):
+    """``is_regular`` asks the one q-modularity test at modulus n + 1; the
+    reference compared the set of degree values."""
+    g = Graph.from_edges(n, edge_pairs(n, p, rnd))
+    subsets = [[], list(range(n))] + [rnd.sample(range(n), k) for k in (1, 2) if k <= n]
+    subsets += [rnd.sample(range(n), rnd.randint(0, n)) for _ in range(8)]
+    for subset in subsets:
+        want = ref.is_regular(g, subset)
+        assert is_regular(g, subset) == want
+        assert is_regular(g, iter(subset)) == want
+    for bad in ([n], [-1], [0, n + 3]):
+        want = value_or_error(ref.is_regular, g, bad)
+        assert want[0] is ValueError and value_or_error(is_regular, g, bad) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 40), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+def test_even_partition_check_matches_reference(n, p, rnd):
+    """``verify_even_partition`` asks the one q-modularity test at modulus 2
+    of each part; the reference counted each part's degrees itself."""
+    g = Graph.from_edges(n, edge_pairs(n, p, rnd))
+    everything = set(range(n))
+    part0, part1 = parity_partition(g)
+    split = set(rnd.sample(range(n), rnd.randint(0, n)))
+    cases = [(part0, part1), (part1, part0), (everything, set()), (set(), everything), (split, everything - split)]
+    if n:
+        v = rnd.randrange(n)
+        cases.append((part0 ^ {v}, part1 ^ {v}))
+    for a, b in cases:
+        want = ref.verify_even_partition(g, a, b)
+        assert verify_even_partition(g, a, b) == want
+        assert verify_even_partition(g, iter(sorted(a)), iter(sorted(b))) == want
+    bad = [([-1], everything), (everything, [n]), (everything, [0, n + 2])]
+    if n:
+        bad += [(everything, [rnd.randrange(n)]), (everything - {n - 1}, set())]
+    for a, b in bad:
+        want = value_or_error(ref.verify_even_partition, g, a, b)
+        assert want[0] is ValueError and value_or_error(verify_even_partition, g, a, b) == want

@@ -88,6 +88,20 @@ class TestVerifyEvenPartition:
         with pytest.raises(ValueError):
             verify_even_partition(g, {0}, {1, 2})
 
+    def test_asks_the_q_modularity_test_once_per_part_at_modulus_two(self, monkeypatch):
+        import modcert.parity
+
+        calls = []
+        real = modcert.parity.is_q_modular
+
+        def spy(graph, members, q):
+            calls.append((members, q))
+            return real(graph, members, q)
+
+        monkeypatch.setattr(modcert.parity, "is_q_modular", spy)
+        assert verify_even_partition(cycle(4), iter([0, 2]), iter([1, 3]))
+        assert calls == [({0, 2}, 2), ({1, 3}, 2)]
+
 
 def test_partition_solution_satisfies_system():
     # Re-multiply L c = d for a handful of seeded graphs.

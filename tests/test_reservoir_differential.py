@@ -67,6 +67,27 @@ def test_blocks_are_bounded(monkeypatch):
     assert calls == [(None, [], 0), (0, [32 * STATE, 32 * 5, 32 * 5, 32 * 2], 0)]
 
 
+@pytest.mark.parametrize("spec,basis", [
+    (ReservoirSpec(core_size=3, q=2, samples=10 ** 9, trials=4, seed=1), None),
+    (ReservoirSpec(core_size=9, q=1, samples=10 ** 9, trials=2, seed=3), None),
+    (ReservoirSpec(core_size=2, q=2, samples=10 ** 9, trials=3, seed=4,
+                   distribution=((0b01, 0.5), (0b10, 0.5))), (0b10,)),
+])
+def test_drawers_do_not_grow_with_the_sample_count(monkeypatch, spec, basis):
+    # One drawer for the first state, one for a whole block and one for the
+    # last block, however many blocks N holds.
+    calls = []
+    real = reservoir._drawer
+
+    def spy(spec, rng, k):
+        calls.append(k)
+        return real(spec, rng, k)
+
+    monkeypatch.setattr(reservoir, "_drawer", spy)
+    estimate_availability(spec, basis)
+    assert len(calls) <= 3
+
+
 def assert_same_report(spec, basis=None):
     got = estimate_availability(spec, basis)
     assert got.to_json_dict() == ref.estimate_availability(spec, basis).to_json_dict()

@@ -27,6 +27,7 @@ GOLDEN_LEDGER = os.path.join(os.path.dirname(__file__), "golden_work_ledger.json
 STEPS = (
     ("graph", "Graph.from_edges"),
     ("graph", "induced_degrees"),
+    ("graph", "is_q_modular"),
     ("witness", "top_bit_label"),
     ("traces", "compute_traces"),
     ("gf2", "_eliminate"),
