@@ -424,6 +424,3 @@ def main(argv: Sequence[str] | None = None) -> int:
               file=sys.stderr)
         return 3
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -40,7 +40,8 @@ class ModularWitness(NamedTuple):
     @classmethod
     def build(cls, graph: Graph, members, q: int) -> "ModularWitness":
         _check_modulus(q)
-        s = check_subset(graph, members)
+        # is_q_modular range-checks the set (induced_degrees -> check_subset).
+        s = frozenset(members)
         check = is_q_modular(graph, s, q)
         if not check.modular:
             u, v = check.conflict  # type: ignore[misc]
